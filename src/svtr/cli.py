@@ -141,11 +141,12 @@ def cmd_infer(args):
     dumped = {}
     for path in args.image:
         image = _load_image(path, config)
-        logits = model.forward(image[None])
+        # Keep only the array, so no graph outlives this image.
+        logits = model.forward(image[None]).data
         label = greedy_decode(logits)[0]
         print(f"{path}\t{charset.decode(label)}")
         if args.dump_logits:
-            dumped[path] = logits.data[0]
+            dumped[path] = logits[0]
     if args.dump_logits:
         np.savez(args.dump_logits, **dumped)
     return 0

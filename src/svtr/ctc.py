@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DatasetError, FeasibilityError
-from .tensor import Tensor
+from .tensor import Tensor, _accumulate, _make
 
 BLANK = 0
 
@@ -182,17 +182,10 @@ def ctc_loss(log_probs: Tensor, labels: list[LabelSeq]) -> Tensor:
         grads[i] = grad_i
     mean_loss = np.asarray(total / b, dtype=log_probs.dtype)
 
-    if not (log_probs.requires_grad or log_probs._parents):
-        return Tensor(mean_loss)
-
     def bwd(g):
-        scale = float(np.asarray(g).reshape(-1)[0])
-        if log_probs.grad is None:
-            log_probs.grad = (scale / b * grads).astype(log_probs.dtype)
-        else:
-            log_probs.grad = log_probs.grad + (scale / b * grads).astype(log_probs.dtype)
+        _accumulate(log_probs, float(g.reshape(-1)[0]) / b * grads)
 
-    return Tensor(mean_loss, requires_grad=True, parents=(log_probs,), backward_fn=bwd)
+    return _make(mean_loss, (log_probs,), bwd)
 
 
 @dataclass(frozen=True)

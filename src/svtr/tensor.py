@@ -3,10 +3,11 @@
 Values are stored in f32 by default (f64 is supported for shadow gradient
 checks); reductions such as matmul inner products and normalization
 statistics accumulate in f64 before being cast back to the storage dtype.
-The computation graph is recorded implicitly: every op output remembers its
-parents and a backward rule, and ``backward`` replays the rules in reverse
-execution order (creation order), which makes gradient accumulation
-deterministic.
+The computation graph is recorded implicitly: every op builds its output
+through ``_make``, which attaches the parents and the backward rule, and
+``backward`` replays the rules in reverse execution order (creation order),
+which makes gradient accumulation deterministic.  ``backward`` frees the
+graph as it goes, so each forward supports one backward.
 """
 
 from __future__ import annotations
@@ -74,15 +75,28 @@ class Tensor:
     # -- graph --------------------------------------------------------------
 
     def backward(self):
-        """Populate ``grad`` on every requires_grad ancestor of this scalar."""
+        """Populate ``grad`` on every requires_grad leaf reachable from this scalar.
+
+        The pass consumes the graph: once an interior node's rule has run,
+        the node drops its gradient, its rule (and every array the rule saved)
+        and its parents, so only leaf gradients remain and activations are
+        freed as the pass goes.  Backward runs once per forward; a second call
+        through the released graph raises ``ContractError``.
+        """
         if self.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
-        nodes = _reachable(self)
+        # Creation ids are monotone in execution, so popping from the end
+        # visits nodes in reverse execution order.
+        nodes = sorted(_reachable(self), key=lambda t: t._id)
         self.grad = np.ones_like(self.data)
-        # Reverse execution order: creation ids are monotone in execution.
-        for node in sorted(nodes, key=lambda t: t._id, reverse=True):
+        while nodes:
+            node = nodes.pop()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+            if node._parents:
+                node.grad = None
+                node._backward_fn = _released
+                node._parents = ()
 
     # -- operator sugar -----------------------------------------------------
 
@@ -135,14 +149,20 @@ def _reachable(root: Tensor) -> list:
     return out
 
 
+def _released(g):
+    raise ContractError("backward through a graph that an earlier backward "
+                        "already released; run the forward again")
+
+
 def _accumulate(t: Tensor, g: np.ndarray):
     if not (t.requires_grad or t._parents):
         return
-    g = g.astype(t.dtype, copy=False)
     if t.grad is None:
-        t.grad = g.copy()
+        # One C-ordered copy: the layout of a transposed gradient would
+        # change the BLAS rounding of later GEMMs.
+        t.grad = g.astype(t.dtype, order="C")
     else:
-        t.grad = t.grad + g
+        t.grad = t.grad + g.astype(t.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -179,9 +199,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(g, a.shape))
         _accumulate(b, _unbroadcast(g, b.shape))
 
-    out = _make(out_data, (a, b), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -191,9 +209,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(g * b.data, a.shape))
         _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
-    out = _make(out_data, (a, b), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (a, b), bwd)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -206,9 +222,7 @@ def gelu(x: Tensor) -> Tensor:
         d = 0.5 * (1.0 + e) + xd * np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
         _accumulate(x, g * d.astype(xd.dtype))
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -225,9 +239,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     def bwd(g):
         _accumulate(x, g * factor)
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 # -- shape ops --------------------------------------------------------------
@@ -239,9 +251,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def bwd(g):
         _accumulate(x, g.reshape(orig))
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -254,9 +264,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     def bwd(g):
         _accumulate(x, g.transpose(inv))
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 def split(x: Tensor, parts: int, axis: int = -1) -> list:
@@ -277,9 +285,7 @@ def split(x: Tensor, parts: int, axis: int = -1) -> list:
             full[sl] = g
             _accumulate(x, full)
 
-        piece = _make(x.data[sl].copy(), (x,), None)
-        piece._backward_fn = bwd
-        outs.append(piece)
+        outs.append(_make(x.data[sl].copy(), (x,), bwd))
     return outs
 
 
@@ -291,9 +297,7 @@ def tsum(x: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(x, np.broadcast_to(g, x.shape))
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 def tmean(x: Tensor) -> Tensor:
@@ -303,9 +307,7 @@ def tmean(x: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(x, np.broadcast_to(g / n, x.shape))
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 def mean_pool_height(x: Tensor) -> Tensor:
@@ -318,9 +320,7 @@ def mean_pool_height(x: Tensor) -> Tensor:
     def bwd(g):
         _accumulate(x, np.broadcast_to(g / h, x.shape))
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -339,9 +339,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(a, _unbroadcast(ga, a.shape))
         _accumulate(b, _unbroadcast(gb, b.shape))
 
-    out = _make(out_data, (a, b), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (a, b), bwd)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -397,7 +395,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
         gcols = np.matmul(_wide(wf).T, gf)                           # [b, ci*kh*kw, oh*ow]
         gcols = gcols.reshape(b, ci, kh, kw, oh, ow)
-        gxp = np.zeros_like(_wide(xp))
+        gxp = np.zeros(xp.shape)
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
@@ -406,9 +404,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
         _accumulate(x, gxp)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    out = _make(out_data, parents, None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, parents, bwd)
 
 
 # -- normalization ----------------------------------------------------------
@@ -434,9 +430,7 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
         _accumulate(gamma, (g64 * xhat).sum(axis=axes))
         _accumulate(beta, g64.sum(axis=axes))
 
-    out = _make(out_data, (x, gamma, beta), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x, gamma, beta), bwd)
 
 
 @dataclass
@@ -492,9 +486,7 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             gx = dxhat * inv.reshape(1, c, 1, 1)
         _accumulate(x, gx)
 
-    out = _make(out_data, (x, gamma, beta), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x, gamma, beta), bwd)
 
 
 # -- softmax family ---------------------------------------------------------
@@ -518,9 +510,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         g64 = _wide(g)
         _accumulate(x, y64 * (g64 - (g64 * y64).sum(axis=ax, keepdims=True)))
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -535,9 +525,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
         g64 = _wide(g)
         _accumulate(x, g64 - np.exp(out64) * g64.sum(axis=ax, keepdims=True))
 
-    out = _make(out_data, (x,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (x,), bwd)
 
 
 def apply_attention_mask(scores: Tensor, mask: np.ndarray) -> Tensor:
@@ -554,6 +542,4 @@ def apply_attention_mask(scores: Tensor, mask: np.ndarray) -> Tensor:
     def bwd(g):
         _accumulate(scores, np.where(mask, g, 0.0))
 
-    out = _make(out_data, (scores,), None)
-    out._backward_fn = bwd
-    return out
+    return _make(out_data, (scores,), bwd)

@@ -64,8 +64,9 @@ def evaluate(model: SvtrModel, samples: list[LabeledSample],
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
             images = Tensor(np.stack([s.image for s in chunk]))
-            logits = model.forward(images)
-            for sample, pred in zip(chunk, greedy_decode(logits)):
+            # No name holds the logits: they would keep this batch's graph
+            # alive through the next batch's forward.
+            for sample, pred in zip(chunk, greedy_decode(model.forward(images))):
                 acc = edit_accuracy(pred, sample.label)
                 records.append(SampleResult(sample.id, acc.exact, acc.norm_edit_sim,
                                             pred.indices, sample.label.indices))

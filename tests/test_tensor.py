@@ -1,10 +1,14 @@
 """Semantics of the tensor ops: hand-computable cases, backward rules,
 determinism, and error contracts."""
 
+import weakref
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from svtr import tensor as T
+from svtr.ctc import LabelSeq, ctc_loss
 from svtr.exceptions import ContractError, ShapeError
 from svtr.tensor import BatchNormState, Tensor
 
@@ -208,6 +212,39 @@ def test_broadcast_add_backward_reduces():
     b = Tensor(np.zeros(4), requires_grad=True)
     (x + b).sum().backward()
     np.testing.assert_array_equal(b.grad, np.full(4, 3.0, dtype=np.float32))
+
+
+def test_backward_frees_interior_activations_and_keeps_leaf_grads():
+    x = Tensor(np.random.default_rng(11).normal(size=(3, 4)), requires_grad=True)
+    h = T.gelu(x)
+    y = T.mul(h, h).sum()
+    xd = x.data.astype(np.float64)
+    dgelu = 0.5 * (1.0 + erf(xd / np.sqrt(2.0))) + xd * np.exp(-0.5 * xd * xd) / np.sqrt(2 * np.pi)
+    expected = 2.0 * h.data * dgelu
+    # Tensor has __slots__ without __weakref__, so watch its array instead.
+    watched = weakref.ref(h.data)
+    y.backward()
+    del h
+    assert watched() is None
+    np.testing.assert_allclose(x.grad, expected, rtol=1e-5)
+
+
+def test_second_backward_through_a_released_graph_raises():
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    y = T.mul(x, x).sum()
+    y.backward()
+    with pytest.raises(ContractError):
+        y.backward()
+
+
+def test_ctc_loss_accumulates_into_a_leaf_across_graphs():
+    rng = np.random.default_rng(12)
+    log_probs = Tensor(np.log(rng.dirichlet(np.ones(4), size=(1, 5))), requires_grad=True)
+    labels = [LabelSeq((1, 2))]
+    ctc_loss(log_probs, labels).backward()
+    once = log_probs.grad.copy()
+    ctc_loss(log_probs, labels).backward()
+    np.testing.assert_array_equal(log_probs.grad, 2 * once)
 
 
 def test_forward_determinism():
