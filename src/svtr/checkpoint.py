@@ -69,38 +69,53 @@ def save_checkpoint(path, model, step: int = 0, metrics: dict | None = None):
             fh.write(raw)
 
 
+HEADER_KEYS = ("config", "step", "metrics", "tensors")
+RECORD_KEYS = ("name", "kind", "shape", "offset", "nbytes", "crc32")
+
+
+def _require(path, obj, keys, what):
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{path}: {what} is not a JSON object")
+    missing = [key for key in keys if key not in obj]
+    if missing:
+        raise CheckpointError(f"{path}: {what} lacks {', '.join(missing)}")
+
+
 def load_checkpoint(path) -> CheckpointData:
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    if len(blob) < 16:
+        raise CheckpointError(f"{path}: truncated before the header length")
     (header_len,) = struct.unpack("<Q", blob[8:16])
     try:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-    if header.get("format_version") != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {header.get('format_version')}")
+    _require(path, header, ("format_version",) + HEADER_KEYS, "header")
+    if header["format_version"] != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {header['format_version']}")
     payload = blob[16 + header_len:]
 
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
-    for rec in header["tensors"]:
-        raw = payload[rec["offset"]:rec["offset"] + rec["nbytes"]]
-        if len(raw) != rec["nbytes"]:
-            raise CheckpointError(f"{path}: truncated payload for tensor {rec['name']}")
-        if zlib.crc32(raw) != rec["crc32"]:
-            raise CheckpointError(f"{path}: checksum mismatch for tensor {rec['name']}")
-        arr = np.frombuffer(raw, dtype="<f4").reshape(rec["shape"]).astype(np.float32)
-        (buffers if rec["kind"] == "buffer" else params)[rec["name"]] = arr
+    try:
+        for rec in header["tensors"]:
+            _require(path, rec, RECORD_KEYS, "tensor record")
+            raw = payload[rec["offset"]:rec["offset"] + rec["nbytes"]]
+            if len(raw) != rec["nbytes"]:
+                raise CheckpointError(f"{path}: truncated payload for tensor {rec['name']}")
+            if zlib.crc32(raw) != rec["crc32"]:
+                raise CheckpointError(f"{path}: checksum mismatch for tensor {rec['name']}")
+            arr = np.frombuffer(raw, dtype="<f4").reshape(rec["shape"]).astype(np.float32)
+            (buffers if rec["kind"] == "buffer" else params)[rec["name"]] = arr
+        config = SvtrConfig.from_dict(header["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header ({exc!r})") from exc
 
-    return CheckpointData(
-        config=SvtrConfig.from_dict(header["config"]),
-        step=header["step"],
-        metrics=header["metrics"],
-        params=params,
-        buffers=buffers,
-    )
+    return CheckpointData(config=config, step=header["step"], metrics=header["metrics"],
+                          params=params, buffers=buffers)
 
 
 def check_compatible(expected: SvtrConfig, found: SvtrConfig):
@@ -114,12 +129,10 @@ def check_compatible(expected: SvtrConfig, found: SvtrConfig):
 
 
 def restore_model(path, expected_config: SvtrConfig | None = None):
-    """Load a checkpoint into a freshly constructed model."""
+    """Build a model straight from a checkpoint's arrays."""
     from .model import SvtrModel
 
     data = load_checkpoint(path)
     if expected_config is not None:
         check_compatible(expected_config, data.config)
-    model = SvtrModel(data.config)
-    model.load_state(data.params, data.buffers)
-    return model, data
+    return SvtrModel.from_state(data.config, data.params, data.buffers), data

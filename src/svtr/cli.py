@@ -31,6 +31,16 @@ FLOP_REFS_G = {"svtr-t": 0.29, "svtr-s": 0.63, "svtr-b": 3.55, "svtr-l": 6.07}
 REFERENCE_FLOP_GEOMETRY = (32, 100)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_config_arg(p):
     p.add_argument("--config", required=True,
                    help="preset name (%s) or config file path" % ", ".join(PRESETS))
@@ -225,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--min-len", type=int, default=1)
     p.add_argument("--max-len", type=int, default=5)
     p.add_argument("--height", type=int, default=32)
@@ -236,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model")
     _add_config_arg(p)
     p.add_argument("--data", help="dataset directory (labels.tsv layout)")
-    p.add_argument("--synth", type=int, default=64,
+    p.add_argument("--synth", type=_positive_int, default=64,
                    help="generate this many synthetic samples when --data is absent")
     p.add_argument("--min-len", type=int, default=1)
     p.add_argument("--max-len", type=int, default=5)
-    p.add_argument("--epochs", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=16)
+    p.add_argument("--epochs", type=_positive_int, required=True)
+    p.add_argument("--batch-size", type=_positive_int, default=16)
     p.add_argument("--lr", type=float, help="peak learning rate (default: 5e-4*batch/2048)")
     p.add_argument("--warmup-epochs", type=int, default=2)
     p.add_argument("--val-fraction", type=float, default=0.0)

@@ -101,60 +101,63 @@ def min_timesteps(label: LabelSeq) -> int:
     return len(label) + repeats
 
 
-def _extended(label: LabelSeq) -> np.ndarray:
-    ext = np.zeros(2 * len(label) + 1, dtype=np.int64)
-    ext[1::2] = label.indices
-    return ext
+def _forward_backward(lp: np.ndarray, labels: list[LabelSeq]):
+    """Log-space alpha/beta over the blank-interleaved labels, batched.
 
-
-def _forward_backward(lp: np.ndarray, ext: np.ndarray):
-    """Log-space alpha/beta over the blank-interleaved label.
-
-    lp: [T, N] log probabilities (f64).  Returns (-log P, grad wrt lp).
+    lp: [b, T, N] log probabilities (f64).  Returns (per-sample -log P [b],
+    grad wrt lp [b, T, N]).  Extended labels are padded with blanks to the
+    longest; padded states emit -inf, and since logaddexp(x, -inf) == x
+    exactly, every valid state gets the same bits as a lone recursion.
     """
-    T_, _ = lp.shape
-    S = len(ext)
+    b, T_, N = lp.shape
     ninf = -np.inf
+    lengths = np.array([2 * len(label) + 1 for label in labels])        # S_i
+    S = int(lengths.max())
+    ext = np.zeros((b, S), dtype=np.int64)
+    for i, label in enumerate(labels):
+        ext[i, 1:2 * len(label):2] = label.indices
+    state = np.arange(S)
+    valid = state < lengths[:, None]                                     # [b, S]
+    can_skip = np.zeros((b, S), dtype=bool)
+    can_skip[:, 2:] = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2]) & valid[:, 2:]
 
-    can_skip = np.zeros(S, dtype=bool)
-    can_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    # Emissions per extended state, time-major: [T, b, S].
+    lpe = np.take_along_axis(lp, np.broadcast_to(ext[:, None, :], (b, T_, S)), axis=2)
+    lpe = np.where(valid[:, None, :], lpe, ninf).transpose(1, 0, 2)
 
-    alpha = np.full((T_, S), ninf)
-    alpha[0, 0] = lp[0, ext[0]]
-    if S > 1:
-        alpha[0, 1] = lp[0, ext[1]]
+    # alpha carries two -inf columns on the left, beta two on the right, so
+    # the one- and two-state shifts read -inf past the label's ends.
+    alpha = np.full((T_, b, S + 2), ninf)
+    alpha[0, :, 2:4] = lpe[0, :, :2]
     for t in range(1, T_):
         prev = alpha[t - 1]
-        cand = prev.copy()
-        cand[1:] = np.logaddexp(cand[1:], prev[:-1])
-        cand[can_skip] = np.logaddexp(cand[can_skip], prev[:-2][can_skip[2:]])
-        alpha[t] = cand + lp[t, ext]
+        cand = np.logaddexp(prev[:, 2:], prev[:, 1:-1])
+        cand = np.where(can_skip, np.logaddexp(cand, prev[:, :-2]), cand)
+        alpha[t, :, 2:] = cand + lpe[t]
 
-    log_p = alpha[-1, -1] if S == 1 else np.logaddexp(alpha[-1, -1], alpha[-1, -2])
+    rows = np.arange(b)
+    log_p = np.logaddexp(alpha[-1, rows, lengths + 1], alpha[-1, rows, lengths])
 
-    beta = np.full((T_, S), ninf)
-    beta[-1, -1] = lp[-1, ext[-1]]
-    if S > 1:
-        beta[-1, -2] = lp[-1, ext[-2]]
-    can_skip_fwd = np.zeros(S, dtype=bool)
-    can_skip_fwd[:-2] = can_skip[2:]
+    can_skip_fwd = np.zeros((b, S), dtype=bool)
+    can_skip_fwd[:, :-2] = can_skip[:, 2:]
+    beta = np.full((T_, b, S + 2), ninf)
+    beta[-1, :, :-2] = np.where(state >= lengths[:, None] - 2, lpe[-1], ninf)
     for t in range(T_ - 2, -1, -1):
         nxt = beta[t + 1]
-        cand = nxt.copy()
-        cand[:-1] = np.logaddexp(cand[:-1], nxt[1:])
-        cand[can_skip_fwd] = np.logaddexp(cand[can_skip_fwd], nxt[2:][can_skip_fwd[:-2]])
-        beta[t] = cand + lp[t, ext]
+        cand = np.logaddexp(nxt[:, :-2], nxt[:, 1:-1])
+        cand = np.where(can_skip_fwd, np.logaddexp(cand, nxt[:, 2:]), cand)
+        beta[t, :, :-2] = cand + lpe[t]
 
     # Posterior over extended states; alpha and beta both include the emission
     # at t, so divide it out once.
     with np.errstate(invalid="ignore"):
-        occupancy = np.exp(alpha + beta - lp[:, ext] - log_p)   # [T, S]
-    occupancy = np.nan_to_num(occupancy, nan=0.0, posinf=0.0)
-    grad = np.zeros_like(lp)
-    t_idx = np.broadcast_to(np.arange(T_)[:, None], occupancy.shape)
-    k_idx = np.broadcast_to(ext[None, :], occupancy.shape)
-    np.add.at(grad, (t_idx, k_idx), -occupancy)
-    return -log_p, grad
+        occupancy = np.exp(alpha[:, :, 2:] + beta[:, :, :-2] - lpe - log_p[:, None])
+    occupancy = np.nan_to_num(occupancy, nan=0.0, posinf=0.0)             # [T, b, S]
+    # Flat index of (sample, t, class) per state; bincount adds in input
+    # order, so each cell sums its states in ascending order.
+    cell = (rows[None, :, None] * T_ + np.arange(T_)[:, None, None]) * N + ext[None]
+    grad = np.bincount(cell.reshape(-1), weights=-occupancy.reshape(-1), minlength=b * T_ * N)
+    return -log_p, grad.reshape(b, T_, N)
 
 
 def ctc_loss(log_probs: Tensor, labels: list[LabelSeq]) -> Tensor:
@@ -162,6 +165,8 @@ def ctc_loss(log_probs: Tensor, labels: list[LabelSeq]) -> Tensor:
     if log_probs.data.ndim != 3:
         raise ContractError(f"ctc_loss expects [b, T, N] log probs, got {log_probs.shape}")
     b, T_, N = log_probs.shape
+    if b == 0:
+        raise ContractError("ctc_loss needs at least one sample")
     if len(labels) != b:
         raise ContractError(f"batch size {b} != number of labels {len(labels)}")
     for i, label in enumerate(labels):
@@ -173,13 +178,12 @@ def ctc_loss(log_probs: Tensor, labels: list[LabelSeq]) -> Tensor:
                 f"sample {i}: label of length {len(label)} needs "
                 f"{need} timesteps but only {T_} are available")
 
-    lp64 = log_probs.data.astype(np.float64)
+    losses, grads = _forward_backward(log_probs.data.astype(np.float64), labels)
+    # Summed left to right in Python floats: np.sum's pairwise order, or the
+    # compensated built-in sum of Python 3.12+, could change the last bit.
     total = 0.0
-    grads = np.zeros_like(lp64)
-    for i, label in enumerate(labels):
-        loss_i, grad_i = _forward_backward(lp64[i], _extended(label))
+    for loss_i in losses.tolist():
         total += loss_i
-        grads[i] = grad_i
     mean_loss = np.asarray(total / b, dtype=log_probs.dtype)
 
     def bwd(g):

@@ -116,17 +116,46 @@ _INITS = {
 }
 
 
+def _state_entry(state: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    if name not in state:
+        raise ContractError(f"missing tensor in state: {name}")
+    if tuple(state[name].shape) != tuple(shape):
+        raise ShapeError(f"tensor {name}: state shape {state[name].shape} "
+                         f"!= model shape {tuple(shape)}")
+    return state[name]
+
+
+DEFAULT_SEED = 42
+
+
 class SvtrModel:
     """Parameterized backbone plus classifier; owns all learnable tensors."""
 
-    def __init__(self, config: SvtrConfig, seed: int = 42, dtype=np.float32):
+    def __init__(self, config: SvtrConfig, seed: int = DEFAULT_SEED, dtype=np.float32):
+        rng = np.random.default_rng(seed)
+        self._build(config, seed, dtype, lambda spec: _INITS[spec.init](rng, spec.shape))
+
+    @classmethod
+    def from_state(cls, config: SvtrConfig, params: dict[str, np.ndarray],
+                   buffers: dict[str, np.ndarray], dtype=np.float32) -> "SvtrModel":
+        """A model holding the given parameters and BatchNorm buffers, built
+        without drawing a random initialization; the dropout stream is the
+        one ``SvtrModel(config)`` starts with."""
+        model = cls.__new__(cls)
+        model._build(config, DEFAULT_SEED, dtype,
+                     lambda spec: _state_entry(params, spec.name, spec.shape))
+        for name, st in model.bn_states.items():
+            shape = st.running_mean.shape
+            st.running_mean = _state_entry(buffers, name + ".running_mean", shape).astype(np.float32)
+            st.running_var = _state_entry(buffers, name + ".running_var", shape).astype(np.float32)
+        return model
+
+    def _build(self, config: SvtrConfig, seed: int, dtype, init):
         self.config = config
         self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
-        for spec in parameter_spec(config):
-            data = _INITS[spec.init](rng, spec.shape).astype(dtype)
-            self.params[spec.name] = Tensor(data, requires_grad=True)
+        self.params: dict[str, Tensor] = {
+            spec.name: Tensor(init(spec).astype(dtype), requires_grad=True)
+            for spec in parameter_spec(config)}
         d0 = config.embed_dims[0]
         self.bn_states = {
             "embed.bn1": BatchNormState.create(d0 // 2),
@@ -172,19 +201,6 @@ class SvtrModel:
             out[name + ".running_mean"] = st.running_mean
             out[name + ".running_var"] = st.running_var
         return out
-
-    def load_state(self, params: dict[str, np.ndarray], buffers: dict[str, np.ndarray]):
-        for name, tens in self.params.items():
-            if name not in params:
-                raise ContractError(f"missing parameter in state: {name}")
-            if tuple(params[name].shape) != tens.shape:
-                raise ShapeError(f"parameter {name}: state shape {params[name].shape} "
-                                 f"!= model shape {tens.shape}")
-            tens.data = params[name].astype(tens.dtype)
-            tens.grad = None
-        for name, st in self.bn_states.items():
-            st.running_mean = buffers[name + ".running_mean"].astype(np.float32)
-            st.running_var = buffers[name + ".running_var"].astype(np.float32)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -289,6 +305,8 @@ class SvtrModel:
                 images.shape[2] != cfg.input_h or images.shape[3] != cfg.input_w:
             raise GeometryError(
                 f"expected input [b, 3, {cfg.input_h}, {cfg.input_w}], got {images.shape}")
+        if not np.isfinite(images.data).all():
+            raise ContractError(f"input batch {images.shape} holds NaN or infinite values")
         if capture_attention:
             self.attention_maps = {}
 

@@ -389,7 +389,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
     def bwd(g):
         gf = _wide(g.reshape(b, co, oh * ow))
-        gw = np.einsum("bij,bkj->ik", gf, _wide(cols)).reshape(weight.shape)
+        # b GEMMs and a sum over b: an einsum here never reaches BLAS.
+        gw = np.matmul(gf, _wide(cols).swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
         _accumulate(weight, gw)
         if bias is not None:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))

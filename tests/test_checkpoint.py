@@ -1,14 +1,17 @@
 """Checkpoint round-trips, corruption detection, and config compatibility."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from svtr.audit import count_params
-from svtr.checkpoint import (check_compatible, load_checkpoint, restore_model,
-                             save_checkpoint)
-from svtr.exceptions import CheckpointError, CompatibilityError
+from svtr.checkpoint import (HEADER_KEYS, RECORD_KEYS, check_compatible, load_checkpoint,
+                             restore_model, save_checkpoint)
+from svtr.exceptions import (CheckpointError, CompatibilityError, ContractError,
+                             ShapeError)
 from svtr.gradcheck import micro_config
 from svtr.model import SvtrModel
 
@@ -82,3 +85,68 @@ def test_config_mismatch_lists_fields(model, tmp_path):
 
 def test_check_compatible_accepts_equal():
     check_compatible(micro_config(), micro_config())
+
+
+def test_restore_draws_no_initialization(model, tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=1)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("restore drew a random initialization")
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    restored, _ = restore_model(path)
+    for name, p in model.params.items():
+        np.testing.assert_array_equal(restored.params[name].data, p.data)
+    for name, buf in model.named_buffers().items():
+        np.testing.assert_array_equal(restored.named_buffers()[name], buf)
+
+
+def test_from_state_rejects_missing_and_misshapen_tensors(model):
+    params = {name: p.data for name, p in model.params.items()}
+    buffers = model.named_buffers()
+    del params["head.bias"]
+    with pytest.raises(ContractError, match="head.bias"):
+        SvtrModel.from_state(model.config, params, buffers)
+    params["head.bias"] = np.zeros(3, dtype=np.float32)
+    with pytest.raises(ShapeError, match="head.bias"):
+        SvtrModel.from_state(model.config, params, buffers)
+    params["head.bias"] = model.params["head.bias"].data
+    del buffers["embed.bn1.running_var"]
+    with pytest.raises(ContractError, match="embed.bn1.running_var"):
+        SvtrModel.from_state(model.config, params, buffers)
+
+
+@pytest.mark.parametrize("length", range(17))
+def test_truncated_file_is_a_checkpoint_error(model, tmp_path, length):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def _rewrite_header(path, edit):
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    header = json.loads(blob[16:16 + length])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + length:])
+
+
+@pytest.mark.parametrize("key", HEADER_KEYS)
+def test_header_missing_key_is_a_checkpoint_error(model, tmp_path, key):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    _rewrite_header(path, lambda header: header.pop(key))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", RECORD_KEYS)
+def test_record_missing_field_is_a_checkpoint_error(model, tmp_path, key):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    _rewrite_header(path, lambda header: header["tensors"][3].pop(key))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)

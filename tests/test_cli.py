@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from svtr import cli
 from svtr.cli import main
 from svtr.data import read_pnm
 
@@ -68,6 +69,21 @@ def test_gen_data_layout(capsys, tmp_path):
     assert len(list((out_dir / "images").glob("*.ppm"))) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ("train", "--config", "svtr-micro", "--epochs", "1", "--batch-size", "0"),
+    ("train", "--config", "svtr-micro", "--epochs", "0"),
+    ("train", "--config", "svtr-micro", "--epochs", "1", "--synth", "-3"),
+    ("gen-data", "--out", "unused", "--n", "-1"),
+], ids=["batch-size", "epochs", "synth", "n"])
+def test_non_positive_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage:")
+    assert f"error: argument {argv[-2]}: must be a positive integer" in err
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One short CLI training run shared by the downstream command tests."""
@@ -107,6 +123,18 @@ def test_infer_outputs_one_line_per_image(capsys, trained):
     assert len(lines) == 2
     for line, path in zip(lines, images):
         assert line.startswith(str(path) + "\t")
+
+
+def test_infer_rejects_non_finite_image(capsys, trained, monkeypatch):
+    image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
+    monkeypatch.setattr(cli, "read_pnm", lambda path: np.full((3, 16, 64), np.nan,
+                                                              dtype=np.float32))
+    code, out, err = run(capsys, "infer", "--config", "svtr-micro",
+                         "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                         "--image", str(image))
+    assert code == 1 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "NaN" in err
 
 
 def test_infer_deterministic(capsys, trained):

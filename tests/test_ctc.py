@@ -142,6 +142,36 @@ def test_batch_loss_is_mean():
     assert np.isclose(batched, np.mean(singles), atol=1e-6)
 
 
+def test_batch_gradient_rows_equal_single_sample_gradients():
+    # One batched recursion over labels of different lengths: padded states
+    # must leave every sample's gradient bitwise what it is alone.
+    rng = np.random.default_rng(9)
+    t, n = 6, 4
+    labels = [LabelSeq(()), LabelSeq((2,)), LabelSeq((1, 1, 3)),
+              LabelSeq((1, 1, 2, 2))]            # the last needs exactly t steps
+    assert min_timesteps(labels[-1]) == t
+    lps = np.stack([random_log_probs(rng, t, n) for _ in labels]).astype(np.float32)
+    b = len(labels)
+
+    batch = Tensor(lps.copy(), requires_grad=True)
+    loss = ctc_loss(batch, labels)
+    loss.backward()
+    batch_loss = float(loss.data)
+    singles = []
+    for i, label in enumerate(labels):
+        one = Tensor(lps[i:i + 1].copy(), requires_grad=True)
+        loss = ctc_loss(one, [label])
+        loss.backward()
+        singles.append(float(loss.data))
+        np.testing.assert_array_equal(batch.grad[i], one.grad[0] * (1.0 / b))
+    assert np.isclose(batch_loss, np.mean(singles), rtol=1e-6, atol=0.0)
+
+
+def test_empty_batch_raises():
+    with pytest.raises(ContractError):
+        ctc_loss(Tensor(np.zeros((0, 4, 3))), [])
+
+
 def test_infeasible_label_raises():
     # a repeated symbol needs a separating blank, so (1, 1) cannot fit in T=2
     lp = Tensor(np.zeros((1, 2, 3)))

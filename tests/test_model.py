@@ -1,11 +1,13 @@
 """Backbone behavior: shape contracts, parameter enumeration oracles,
 residual identities, local/global saturation, and attention export."""
 
+import re
+
 import numpy as np
 import pytest
 
 from svtr.config import PRESETS, SvtrConfig
-from svtr.exceptions import GeometryError
+from svtr.exceptions import ContractError, GeometryError
 from svtr.gradcheck import micro_config
 from svtr.model import SvtrModel, export_attention, parameter_spec
 from svtr.tensor import Tensor
@@ -32,6 +34,16 @@ def test_wrong_input_geometry_rejected():
     model = micro_model()
     with pytest.raises(GeometryError):
         model.forward(np.zeros((1, 3, 32, 128), dtype=np.float32))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected(bad):
+    model = micro_model()
+    cfg = model.config
+    images = np.zeros((2, 3, cfg.input_h, cfg.input_w), dtype=np.float32)
+    images[1, 2, 3, 4] = bad
+    with pytest.raises(ContractError, match=re.escape(str(images.shape))):
+        model.forward(images)
 
 
 def test_construction_is_deterministic():
