@@ -8,7 +8,7 @@ from .data import LabeledSample, RenderStyle, gen_dataset, load_dataset, render_
 from .model import SvtrModel, export_attention, local_attention_mask
 from .optim import AdamW, LrSchedule, scaled_peak_lr
 from .tensor import Tensor
-from .train import evaluate, train
+from .train import evaluate
 
 __version__ = "0.1.0"
 
@@ -18,5 +18,5 @@ __all__ = [
     "count_params", "ctc_loss", "edit_accuracy", "evaluate", "export_attention",
     "gen_dataset", "greedy_decode", "load_checkpoint", "load_config",
     "load_dataset", "local_attention_mask", "scaled_peak_lr", "param_breakdown",
-    "render_text", "restore_model", "save_checkpoint", "save_dataset", "train",
+    "render_text", "restore_model", "save_checkpoint", "save_dataset",
 ]

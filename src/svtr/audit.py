@@ -20,18 +20,6 @@ def _section(name: str) -> str:
     return name.split(".", 1)[0]
 
 
-def count_params(config: SvtrConfig, include_classifier: bool = False) -> int:
-    total = 0
-    for spec in parameter_spec(config):
-        if not include_classifier and spec.name.startswith("head."):
-            continue
-        n = 1
-        for dim in spec.shape:
-            n *= dim
-        total += n
-    return total
-
-
 def param_breakdown(config: SvtrConfig) -> dict[str, int]:
     """Per-module parameter counts keyed by top-level section (incl. head)."""
     out: dict[str, int] = {}
@@ -41,6 +29,11 @@ def param_breakdown(config: SvtrConfig) -> dict[str, int]:
             n *= dim
         out[_section(spec.name)] = out.get(_section(spec.name), 0) + n
     return out
+
+
+def count_params(config: SvtrConfig, include_classifier: bool = False) -> int:
+    return sum(n for section, n in param_breakdown(config).items()
+               if include_classifier or section != "head")
 
 
 @dataclass(frozen=True)
@@ -73,8 +66,9 @@ class FlopReport:
 def count_flops(config: SvtrConfig, input_h: int | None = None,
                 input_w: int | None = None,
                 include_classifier: bool = False) -> FlopReport:
-    ih = input_h or config.input_h
-    iw = input_w or config.input_w
+    ih = config.input_h if input_h is None else input_h
+    iw = config.input_w if input_w is None else input_w
+    geometry = config.stage_geometry(ih, iw)
     d0 = config.embed_dims[0]
     entries: list[FlopEntry] = []
 
@@ -84,7 +78,6 @@ def count_flops(config: SvtrConfig, input_h: int | None = None,
     h2, w2 = ih // 4, iw // 4
     entries.append(FlopEntry("embed.conv2", h2 * w2 * d0 * (d0 // 2) * 9, False))
 
-    geometry = config.stage_geometry(ih, iw)
     for stage in range(3):
         h, w, d = geometry[stage]
         n = h * w

@@ -18,8 +18,7 @@ from .audit import count_flops, count_params, param_breakdown
 from .checkpoint import check_compatible, load_checkpoint, restore_model
 from .config import PRESETS, load_config
 from .ctc import Charset, greedy_decode
-from .data import (RenderStyle, gen_dataset, load_dataset, read_pnm, save_dataset,
-                   write_pnm, _resize_nearest)
+from .data import RenderStyle, gen_dataset, load_dataset, load_image, save_dataset, write_pnm
 from .exceptions import SvtrError
 from .model import SvtrModel, export_attention
 from .train import evaluate, train
@@ -136,13 +135,6 @@ def cmd_eval(args):
     return 0
 
 
-def _load_image(path, config):
-    image = read_pnm(path)
-    if image.ndim == 2:
-        image = np.repeat(image[None], 3, axis=0)
-    return _resize_nearest(image, config.input_h, config.input_w).astype(np.float32)
-
-
 def cmd_infer(args):
     config = load_config(args.config)
     charset = _charset_for(config, args)
@@ -150,7 +142,7 @@ def cmd_infer(args):
     model.eval()
     dumped = {}
     for path in args.image:
-        image = _load_image(path, config)
+        image = load_image(path, config.input_h, config.input_w)
         # Keep only the array, so no graph outlives this image.
         logits = model.forward(image[None]).data
         label = greedy_decode(logits)[0]
@@ -179,7 +171,7 @@ def cmd_attn_dump(args):
     config = load_config(args.config)
     model, _ = restore_model(args.checkpoint, expected_config=config)
     model.eval()
-    image = _load_image(args.image, config)
+    image = load_image(args.image, config.input_h, config.input_w)
     if args.char is not None:
         charset = _charset_for(config, args)
         query = _query_for_char(model, charset, image, args.char, args.stage)
@@ -300,10 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SvtrError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, IndexError) as exc:
+    except (SvtrError, OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

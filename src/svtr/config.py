@@ -8,12 +8,51 @@ that base field-by-field.  ``#`` starts a comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+import math
+from dataclasses import dataclass, asdict, fields, replace
 
-from .exceptions import GeometryError, ContractError
+from .exceptions import GeometryError, ContractError, SvtrError
 
 LOCAL = "L"
 GLOBAL = "G"
+
+_INT_KEYS = {"combined_dim", "charset_size", "input_h", "input_w", "max_label_len"}
+_FLOAT_KEYS = {"mlp_ratio", "dropout_rate", "attn_dropout_rate"}
+_LIST_LENGTHS = {"embed_dims": 3, "depths": 3, "heads": 3, "window": 2}
+
+
+def _check_field(key: str, value):
+    """Reject a field value that is invalid on its own; ``SvtrConfig``
+    checks how the fields combine."""
+    if key in _LIST_LENGTHS:
+        if len(value) != _LIST_LENGTHS[key]:
+            raise ContractError(f"{key} needs {_LIST_LENGTHS[key]} entries, got {len(value)}")
+        if min(value) < 1:
+            raise ContractError(f"{key} entries must be positive, got {value}")
+        if key == "window" and (value[0] % 2 == 0 or value[1] % 2 == 0):
+            raise ContractError(f"window {value[0]}x{value[1]} must have odd sides")
+    elif key in _INT_KEYS:
+        low = 2 if key == "charset_size" else 1
+        if value < low:
+            raise ContractError(f"{key} must be at least {low}, got {value}")
+    elif key == "mlp_ratio":
+        if not 0.0 < value < math.inf:
+            raise ContractError(f"mlp_ratio must be positive and finite, got {value}")
+    elif key in _FLOAT_KEYS:
+        if not 0.0 <= value < 1.0:
+            raise ContractError(f"{key} must be in [0, 1), got {value}")
+    elif key == "permutation":
+        if any(k not in (LOCAL, GLOBAL) for k in value):
+            raise ContractError(f"permutation entries must be L or G: {value}")
+
+
+def _check_geometry(input_h: int, input_w: int):
+    """The input sizes the backbone accepts: positive, height divisible by 16
+    (two stride-2 embeddings and two height-halving merges), width by 4."""
+    if input_h < 1 or input_w < 1 or input_h % 16 != 0 or input_w % 4 != 0:
+        raise GeometryError(
+            f"input {input_h}x{input_w} must be positive with height divisible by 16 "
+            "and width divisible by 4")
 
 
 @dataclass(frozen=True)
@@ -35,38 +74,30 @@ class SvtrConfig:
     attn_dropout_rate: float = 0.1
 
     def __post_init__(self):
+        for f in fields(self):
+            _check_field(f.name, getattr(self, f.name))
         if len(self.permutation) != sum(self.depths):
             raise ContractError(
                 f"permutation length {len(self.permutation)} != total depth {sum(self.depths)}")
-        if any(k not in (LOCAL, GLOBAL) for k in self.permutation):
-            raise ContractError(f"permutation entries must be L or G: {self.permutation}")
         for d, h in zip(self.embed_dims, self.heads):
             if d % h != 0:
                 raise ContractError(f"embed dim {d} not divisible by head count {h}")
         if self.embed_dims[0] % 2 != 0:
             raise ContractError(f"first embed dim {self.embed_dims[0]} must be even")
-        if self.input_h % 16 != 0 or self.input_w % 4 != 0:
-            raise GeometryError(
-                f"input {self.input_h}x{self.input_w} must have height divisible by 16 "
-                "and width divisible by 4")
+        _check_geometry(self.input_h, self.input_w)
         if self.input_w // 4 < self.max_label_len:
             raise ContractError(
                 f"input width {self.input_w} yields {self.input_w // 4} output positions, "
                 f"fewer than max label length {self.max_label_len}")
-        if self.charset_size < 2:
-            raise ContractError(f"charset size {self.charset_size} < 2")
-        wh, ww = self.window
-        if wh % 2 == 0 or ww % 2 == 0 or wh < 1 or ww < 1:
-            raise ContractError(f"window {wh}x{ww} must be odd and positive")
-        if self.mlp_ratio <= 0:
-            raise ContractError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
 
     # -- derived geometry ---------------------------------------------------
 
     def stage_geometry(self, input_h: int | None = None, input_w: int | None = None):
         """Per-stage (height, width, channels) token grids."""
-        h = (input_h or self.input_h) // 4
-        w = (input_w or self.input_w) // 4
+        h = self.input_h if input_h is None else input_h
+        w = self.input_w if input_w is None else input_w
+        _check_geometry(h, w)
+        h, w = h // 4, w // 4
         geo = []
         for dim in self.embed_dims:
             geo.append((h, w, dim))
@@ -101,34 +132,26 @@ class SvtrConfig:
         return cls(**kw)
 
 
-def _preset(**kw) -> SvtrConfig:
-    return SvtrConfig(**kw)
-
-
 PRESETS: dict[str, SvtrConfig] = {
-    "svtr-t": _preset(),
-    "svtr-s": _preset(embed_dims=(96, 192, 256), depths=(3, 6, 6), heads=(3, 6, 8),
-                      combined_dim=192, permutation=tuple("L" * 8 + "G" * 7)),
-    "svtr-b": _preset(embed_dims=(128, 256, 384), depths=(3, 6, 9), heads=(4, 8, 12),
-                      combined_dim=256, permutation=tuple("L" * 8 + "G" * 10)),
-    "svtr-l": _preset(embed_dims=(192, 256, 512), depths=(3, 9, 9), heads=(6, 8, 16),
-                      combined_dim=384, permutation=tuple("L" * 10 + "G" * 11)),
+    "svtr-t": SvtrConfig(),
+    "svtr-s": SvtrConfig(embed_dims=(96, 192, 256), depths=(3, 6, 6), heads=(3, 6, 8),
+                         combined_dim=192, permutation=tuple("L" * 8 + "G" * 7)),
+    "svtr-b": SvtrConfig(embed_dims=(128, 256, 384), depths=(3, 6, 9), heads=(4, 8, 12),
+                         combined_dim=256, permutation=tuple("L" * 8 + "G" * 10)),
+    "svtr-l": SvtrConfig(embed_dims=(192, 256, 512), depths=(3, 9, 9), heads=(6, 8, 16),
+                         combined_dim=384, permutation=tuple("L" * 10 + "G" * 11)),
     # Desk-scale config for tests and the overfit run; dropout off for determinism
     # headroom, width 64 so that 5-character labels stay CTC-feasible (2L+1 <= 16).
-    "svtr-micro": _preset(embed_dims=(8, 16, 24), depths=(1, 1, 1), heads=(1, 2, 2),
-                          combined_dim=16, permutation=tuple("LGL"),
-                          input_h=16, input_w=64, max_label_len=5,
-                          dropout_rate=0.0, attn_dropout_rate=0.0),
+    "svtr-micro": SvtrConfig(embed_dims=(8, 16, 24), depths=(1, 1, 1), heads=(1, 2, 2),
+                             combined_dim=16, permutation=tuple("LGL"),
+                             input_h=16, input_w=64, max_label_len=5,
+                             dropout_rate=0.0, attn_dropout_rate=0.0),
 }
-
-_INT_KEYS = {"combined_dim", "charset_size", "input_h", "input_w", "max_label_len"}
-_FLOAT_KEYS = {"mlp_ratio", "dropout_rate", "attn_dropout_rate"}
-_INT_LIST_KEYS = {"embed_dims", "depths", "heads", "window"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> SvtrConfig:
     """Parse the flat key-value schema, starting from an optional preset base."""
-    fields: dict = {}
+    values: dict = {}
     base = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -141,19 +164,27 @@ def parse_config_text(text: str, source: str = "<config>") -> SvtrConfig:
             if value not in PRESETS:
                 raise ContractError(f"{source}:{lineno}: unknown preset {value!r}")
             base = PRESETS[value]
-        elif key in _INT_KEYS:
-            fields[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            fields[key] = float(value)
-        elif key in _INT_LIST_KEYS:
-            fields[key] = tuple(int(v) for v in value.split(","))
-        elif key == "permutation":
-            fields[key] = tuple(value.replace(",", "").upper())
-        else:
-            raise ContractError(f"{source}:{lineno}: unknown config key {key!r}")
-    if base is None:
-        base = SvtrConfig()
-    return replace(base, **fields)
+            continue
+        try:
+            if key in _INT_KEYS:
+                values[key] = int(value)
+            elif key in _FLOAT_KEYS:
+                values[key] = float(value)
+            elif key in _LIST_LENGTHS:
+                values[key] = tuple(int(v) for v in value.split(","))
+            elif key == "permutation":
+                values[key] = tuple(value.replace(",", "").upper())
+            else:
+                raise ContractError(f"unknown config key {key!r}")
+            _check_field(key, values[key])
+        except ValueError as exc:
+            raise ContractError(f"{source}:{lineno}: {key}: {exc}") from None
+        except ContractError as exc:
+            raise ContractError(f"{source}:{lineno}: {exc}") from None
+    try:
+        return replace(base or SvtrConfig(), **values)
+    except SvtrError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
 
 
 def format_config(config: SvtrConfig) -> str:
@@ -172,6 +203,6 @@ def load_config(spec: str) -> SvtrConfig:
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ContractError(f"unknown preset and unreadable config file: {spec} ({exc})") from exc
     return parse_config_text(text, source=spec)

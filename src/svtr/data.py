@@ -128,25 +128,35 @@ def read_pnm(path) -> np.ndarray:
     while len(fields) < 4:
         while pos < len(data) and data[pos:pos + 1].isspace():
             pos += 1
+        if pos == len(data):
+            raise DatasetError(f"{path}: truncated PNM header")
         if data[pos:pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
+            pos = data.find(b"\n", pos) + 1
+            if pos == 0:
+                raise DatasetError(f"{path}: unterminated comment in PNM header")
             continue
         start = pos
         while pos < len(data) and not data[pos:pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
-    magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    magic = fields[0]
     if magic not in (b"P5", b"P6"):
         raise DatasetError(f"{path}: unsupported PNM magic {magic!r}")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise DatasetError(f"{path}: PNM width, height and maxval must be decimal integers, "
+                           f"got {b' '.join(fields[1:])!r}")
+    w, h, maxval = (int(f) for f in fields[1:])
+    if w < 1 or h < 1:
+        raise DatasetError(f"{path}: empty {w}x{h} image")
     if maxval != 255:
         raise DatasetError(f"{path}: only 8-bit images supported, maxval={maxval}")
     pos += 1  # single whitespace after maxval
     channels = 3 if magic == b"P6" else 1
     expected = w * h * channels
-    raw = np.frombuffer(data, dtype=np.uint8, count=expected, offset=pos)
-    if raw.size != expected:
+    payload = data[pos:pos + expected]
+    if len(payload) != expected:
         raise DatasetError(f"{path}: truncated payload")
-    img = raw.astype(np.float32) / 255.0
+    img = np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / 255.0
     if channels == 1:
         return img.reshape(h, w)
     return img.reshape(h, w, 3).transpose(2, 0, 1)
@@ -157,6 +167,15 @@ def _resize_nearest(image: np.ndarray, h: int, w: int) -> np.ndarray:
     ri = (np.arange(h) * ih // h)
     ci = (np.arange(w) * iw // w)
     return image[..., ri[:, None], ci[None, :]]
+
+
+def load_image(path, h: int, w: int) -> np.ndarray:
+    """Read a PGM/PPM file as a [3, h, w] float32 image: gray is repeated
+    over three channels, then nearest-neighbour resized to h x w."""
+    image = read_pnm(path)
+    if image.ndim == 2:
+        image = np.repeat(image[None], 3, axis=0)
+    return _resize_nearest(image, h, w).astype(np.float32)
 
 
 # -- directory layout -------------------------------------------------------
@@ -203,10 +222,7 @@ def load_dataset(directory, h: int, w: int, charset: Charset,
             img_path = os.path.join(directory, rel)
             if not os.path.isfile(img_path):
                 raise DatasetError(f"{labels_path}:{lineno}: missing image {img_path}")
-            image = read_pnm(img_path)
-            if image.ndim == 2:
-                image = np.repeat(image[None], 3, axis=0)
-            image = _resize_nearest(image, h, w).astype(np.float32)
+            image = load_image(img_path, h, w)
             sample_id = os.path.splitext(os.path.basename(rel))[0]
             samples.append(LabeledSample(image, label, sample_id))
     return samples

@@ -8,10 +8,12 @@ worst normalized error per op and backs both the CLI command and the tests.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import tensor as T
-from .config import SvtrConfig
+from .config import PRESETS, SvtrConfig
 from .ctc import LabelSeq, ctc_loss
 from .model import SvtrModel
 from .tensor import BatchNormState, Tensor
@@ -27,17 +29,30 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
 
 
+def central_difference(fn, flat: np.ndarray, i: int, h: float) -> float:
+    """(fn() at flat[i] + h minus fn() at flat[i] - h) / 2h.
+
+    ``flat[i]`` is bumped in place, so ``flat`` must be a view of the array
+    ``fn`` reads; its value is restored afterwards.
+    """
+    orig = flat[i]
+    try:
+        flat[i] = orig + h
+        up = fn()
+        flat[i] = orig - h
+        down = fn()
+    finally:
+        flat[i] = orig
+    return (up - down) / (2 * h)
+
+
 def numeric_grad(fn, arrays: list[np.ndarray], index: int,
                  h: float = H_STEP) -> np.ndarray:
     """Central differences of the scalar fn wrt arrays[index], in f64."""
-    grad = np.zeros(arrays[index].shape, dtype=np.float64)
-    flat = grad.reshape(-1)
-    for i in range(flat.size):
-        for sign in (1.0, -1.0):
-            bumped = [a.copy() for a in arrays]
-            bumped[index].reshape(-1)[i] += sign * h
-            flat[i] += sign * fn(bumped)
-    return grad / (2 * h)
+    arrays = [a.copy() for a in arrays]
+    flat = arrays[index].reshape(-1)
+    grad = [central_difference(lambda: fn(arrays), flat, i, h) for i in range(flat.size)]
+    return np.array(grad, dtype=np.float64).reshape(arrays[index].shape)
 
 
 def check_fn(fn, arrays: list[np.ndarray], dtype=np.float64) -> float:
@@ -129,11 +144,9 @@ def run_suite(dtype=np.float64) -> dict[str, float]:
 
 
 def micro_config(input_w: int = 32) -> SvtrConfig:
-    """Tiny end-to-end architecture for whole-model gradient checks."""
-    return SvtrConfig(embed_dims=(8, 16, 24), depths=(1, 1, 1), heads=(1, 2, 2),
-                      combined_dim=16, permutation=("L", "G", "L"),
-                      charset_size=5, input_h=16, input_w=input_w,
-                      max_label_len=3, dropout_rate=0.0, attn_dropout_rate=0.0)
+    """Tiny end-to-end architecture for whole-model gradient checks: the
+    svtr-micro preset with 5 classes and labels of at most 3 symbols."""
+    return replace(PRESETS["svtr-micro"], charset_size=5, input_w=input_w, max_label_len=3)
 
 
 def check_model(dtype=np.float64, samples_per_param: int = 8,
@@ -147,9 +160,8 @@ def check_model(dtype=np.float64, samples_per_param: int = 8,
     """
     cfg = micro_config()
     model = SvtrModel(cfg, seed=seed, dtype=dtype)
-    shadow = SvtrModel(cfg, seed=seed, dtype=np.float64)
-    for name, p in model.params.items():
-        shadow.params[name].data = p.data.astype(np.float64)
+    shadow = SvtrModel.from_state(cfg, {name: p.data for name, p in model.params.items()},
+                                  model.named_buffers(), dtype=np.float64)
     model.eval()   # dropout is 0 anyway; eval keeps BN stats frozen across evals
     shadow.eval()
     rng = _rng(seed)
@@ -173,15 +185,7 @@ def check_model(dtype=np.float64, samples_per_param: int = 8,
         analytic = p.grad.reshape(-1).astype(np.float64) if p.grad is not None \
             else np.zeros(n)
         flat = shadow.params[name].data.reshape(-1)
-        numeric = []
-        for c in coords:
-            orig = flat[c]
-            vals = []
-            for sign in (1.0, -1.0):
-                flat[c] = orig + sign * h
-                vals.append(loss_value())
-            flat[c] = orig
-            numeric.append((vals[0] - vals[1]) / (2 * h))
+        numeric = [central_difference(loss_value, flat, c, h) for c in coords]
         # Normalize per tensor, not per coordinate, so near-zero entries do
         # not blow up the relative error.
         errors[name] = max_rel_error(analytic[coords], np.asarray(numeric))

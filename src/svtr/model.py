@@ -242,10 +242,10 @@ class SvtrModel:
 
         h = T.layernorm(x, p[prefix + "norm1.gamma"], p[prefix + "norm1.beta"])
         qkv = T.linear(h, p[prefix + "attn.qkv.weight"], p[prefix + "attn.qkv.bias"])
-        q, k, v = T.split(qkv, 3, axis=-1)
-        q = T.transpose(T.reshape(q, (b, n, heads, dh)), (0, 2, 1, 3))
-        k = T.transpose(T.reshape(k, (b, n, heads, dh)), (0, 2, 1, 3))
-        v = T.transpose(T.reshape(v, (b, n, heads, dh)), (0, 2, 1, 3))
+        # q, k and v are the three column blocks of qkv; head i of each is
+        # columns i*dh:(i+1)*dh of its block.
+        qkv = T.transpose(T.reshape(qkv, (b, n, 3 * heads, dh)), (0, 2, 1, 3))
+        q, k, v = T.split(qkv, 3, axis=1)                         # [b, heads, n, dh] each
         scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
         if mask is not None:
             scores = T.apply_attention_mask(scores, mask)

@@ -10,6 +10,11 @@ import numpy as np
 from .exceptions import ContractError
 from .tensor import Tensor
 
+# Adam moment decay rates and denominator offset.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def scaled_peak_lr(batch_size: int) -> float:
     """Peak learning rate rule: 5e-4 scaled by batch/2048."""
@@ -43,13 +48,8 @@ def _decay_exempt(name: str) -> bool:
 class AdamW:
     """Decoupled weight decay first, then bias-corrected Adam."""
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8,
-                 weight_decay: float = 0.05):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.05):
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -61,17 +61,17 @@ class AdamW:
                 raise ContractError(f"parameter {name} has no gradient")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             if self.weight_decay and not _decay_exempt(name):
                 p.data = p.data - (lr * self.weight_decay) * p.data
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * (g * g)
+            self.m[name] = BETA1 * self.m[name] + (1 - BETA1) * g
+            self.v[name] = BETA2 * self.v[name] + (1 - BETA2) * (g * g)
             m_hat = self.m[name] / bc1
             v_hat = self.v[name] / bc2
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:

@@ -24,6 +24,10 @@ _ids = itertools.count()
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
+# Variance offset of layernorm and batchnorm2d; running-statistics momentum
+# of batchnorm2d.
+NORM_EPS = 1e-5
+BN_MOMENTUM = 0.9
 
 
 class Tensor:
@@ -175,12 +179,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _needs_grad(*tensors) -> bool:
-    return any(t.requires_grad or t._parents for t in tensors)
-
-
 def _make(data, parents, backward_fn) -> Tensor:
-    if _needs_grad(*parents):
+    if any(t.requires_grad or t._parents for t in parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents), backward_fn=backward_fn)
     return Tensor(data)
 
@@ -281,7 +281,9 @@ def split(x: Tensor, parts: int, axis: int = -1) -> list:
         sl = tuple(sl)
 
         def bwd(g, sl=sl):
-            full = np.zeros_like(x.data)
+            # C order even when x is a transposed view (the qkv heads):
+            # a buffer in x's layout makes the scatter and the sum slow.
+            full = np.zeros(x.shape, x.dtype)
             full[sl] = g
             _accumulate(x, full)
 
@@ -410,14 +412,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
 
 # -- normalization ----------------------------------------------------------
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layernorm affine shape {gamma.shape}/{beta.shape} does not match last dim {d}")
     x64 = _wide(x.data)
     mu = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x64 - mu) * inv
     out_data = (xhat * _wide(gamma.data) + _wide(beta.data)).astype(x.dtype)
 
@@ -436,16 +438,13 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tens
 
 @dataclass
 class BatchNormState:
-    """Running statistics and hyperparameters for one BatchNorm layer."""
+    """Running statistics for one BatchNorm layer."""
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.9
-    eps: float = 1e-5
 
     @classmethod
-    def create(cls, channels: int, momentum: float = 0.9, eps: float = 1e-5):
-        return cls(np.zeros(channels, dtype=np.float32),
-                   np.ones(channels, dtype=np.float32), momentum, eps)
+    def create(cls, channels: int):
+        return cls(np.zeros(channels, dtype=np.float32), np.ones(channels, dtype=np.float32))
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -462,13 +461,13 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     if training:
         mu = x64.mean(axis=(0, 2, 3))
         var = x64.var(axis=(0, 2, 3))
-        m = state.momentum
+        m = BN_MOMENTUM
         state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(np.float32)
         state.running_var = (m * state.running_var + (1 - m) * var).astype(np.float32)
     else:
         mu = _wide(state.running_mean)
         var = _wide(state.running_var)
-    inv = 1.0 / np.sqrt(var + state.eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     xhat = (x64 - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
     out_data = (xhat * gam + bet).astype(x.dtype)
     n = x.shape[0] * x.shape[2] * x.shape[3]

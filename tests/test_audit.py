@@ -5,6 +5,7 @@ import pytest
 
 from svtr.audit import count_flops, count_params, param_breakdown
 from svtr.config import PRESETS
+from svtr.exceptions import GeometryError
 from svtr.gradcheck import micro_config
 from svtr.model import SvtrModel
 
@@ -75,3 +76,12 @@ def test_classifier_flops_optional():
     base = count_flops(PRESETS["svtr-t"])
     with_head = count_flops(PRESETS["svtr-t"], include_classifier=True)
     assert with_head.total_macs - base.total_macs == 32 * 192 * 37
+
+
+@pytest.mark.parametrize("geometry", [dict(input_h=0), dict(input_h=-16), dict(input_h=18),
+                                      dict(input_w=0), dict(input_w=-4), dict(input_w=6)])
+def test_flops_reject_invalid_explicit_geometry(geometry):
+    with pytest.raises(GeometryError):
+        count_flops(PRESETS["svtr-t"], **geometry)
+    with pytest.raises(GeometryError):
+        PRESETS["svtr-t"].stage_geometry(**geometry)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from svtr import cli
+import svtr.data
 from svtr.cli import main
 from svtr.data import read_pnm
 
@@ -42,6 +42,13 @@ def test_flops_prints_both_conventions(capsys):
     assert "1-MAC convention" in out
     assert "2-FLOP convention" in out
     assert "quadratic" in out
+
+
+@pytest.mark.parametrize("height", ["0", "-16", "18"])
+def test_flops_invalid_height_is_one_error_line(capsys, height):
+    code, out, err = run(capsys, "flops", "--config", "svtr-t", "--input-h", height)
+    assert code == 1 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_unknown_config_fails_cleanly(capsys):
@@ -127,8 +134,8 @@ def test_infer_outputs_one_line_per_image(capsys, trained):
 
 def test_infer_rejects_non_finite_image(capsys, trained, monkeypatch):
     image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
-    monkeypatch.setattr(cli, "read_pnm", lambda path: np.full((3, 16, 64), np.nan,
-                                                              dtype=np.float32))
+    monkeypatch.setattr(svtr.data, "read_pnm", lambda path: np.full((3, 16, 64), np.nan,
+                                                                    dtype=np.float32))
     code, out, err = run(capsys, "infer", "--config", "svtr-micro",
                          "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
                          "--image", str(image))

@@ -3,9 +3,10 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svtr.config import PRESETS, SvtrConfig, format_config, load_config, parse_config_text
-from svtr.exceptions import ContractError, GeometryError
+from svtr.exceptions import ContractError, GeometryError, SvtrError
 
 
 def test_presets_construct():
@@ -83,6 +84,59 @@ def test_parse_preset_with_override():
 def test_parse_rejects_unknown_key():
     with pytest.raises(ContractError):
         parse_config_text("fuzz = 1\n")
+
+
+@pytest.mark.parametrize("text,line", [
+    ("input_h = abc\n", 1),
+    ("preset = svtr-micro\nembed_dims = 1,x,3\n", 2),
+    ("# window\nwindow = 3\n", 2),
+    ("mlp_ratio = nan\n", 1),
+    ("dropout_rate = 2\n", 1),
+    ("heads = 0,4,8\n", 1),
+])
+def test_parse_rejects_bad_values_naming_the_line(text, line):
+    with pytest.raises(ContractError, match=f"^model.cfg:{line}: "):
+        parse_config_text(text, source="model.cfg")
+
+
+def test_parse_names_the_source_of_a_combined_error():
+    with pytest.raises(ContractError, match="^model.cfg: permutation length"):
+        parse_config_text("depths = 1,1,1\n", source="model.cfg")
+
+
+@pytest.mark.parametrize("field", [
+    dict(mlp_ratio=float("nan")), dict(mlp_ratio=float("inf")), dict(dropout_rate=2.0),
+    dict(attn_dropout_rate=-0.1), dict(window=(3,)), dict(heads=(0, 4, 8)),
+    dict(combined_dim=0), dict(max_label_len=-1)])
+def test_config_rejects_bad_values(field):
+    with pytest.raises(ContractError):
+        dataclasses.replace(PRESETS["svtr-t"], **field)
+
+
+@pytest.mark.parametrize("geometry", [dict(input_h=0), dict(input_h=-16), dict(input_w=-4)])
+def test_config_rejects_non_positive_geometry(geometry):
+    with pytest.raises(SvtrError):
+        dataclasses.replace(PRESETS["svtr-micro"], **geometry)
+
+
+_KEYS = st.sampled_from([f.name for f in dataclasses.fields(SvtrConfig)] + ["preset", "x"])
+_VALUES = st.one_of(
+    st.text(max_size=10),
+    st.integers(-20, 300).map(str),
+    st.floats().map(str),
+    st.lists(st.integers(-2, 40), max_size=4).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from([*PRESETS, "LGL", "lg, l"]))
+_LINES = st.one_of(st.tuples(_KEYS, _VALUES).map(" = ".join), st.text(max_size=16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=6).map("\n".join))
+def test_parse_any_text_gives_a_config_or_a_typed_error(text):
+    try:
+        config = parse_config_text(text)
+    except SvtrError:
+        return
+    assert isinstance(config, SvtrConfig)
 
 
 def test_load_config_preset_and_file(tmp_path):

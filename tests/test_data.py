@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from svtr import font
 from svtr.ctc import Charset
 from svtr.data import (LabeledSample, RenderStyle, gen_dataset, load_dataset,
                        read_pnm, render_text, save_dataset, write_pnm)
-from svtr.exceptions import DatasetError, RenderError
+from svtr.exceptions import DatasetError, RenderError, SvtrError
 
 QUIET = RenderStyle(noise_sigma=0.0, x_jitter=0, y_jitter=0)
 
@@ -100,6 +101,36 @@ def test_pnm_rejects_bad_magic(tmp_path):
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
     with pytest.raises(DatasetError):
         read_pnm(path)
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"P6\n", b"P6\nabc 4\n255\n", b"P6\n4 4\n255", b"P5\n# no newline",
+    b"P5\n4 4\n255\n", b"P5\n0 4\n255\n"])
+def test_pnm_malformed_header_is_a_dataset_error(tmp_path, data):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(DatasetError):
+        read_pnm(path)
+
+
+_PNM_TOKENS = st.one_of(
+    st.sampled_from([b"P5", b"P6", b"255", b"#", b"# c\n", b"\n"]),
+    st.integers(-2, 9).map(lambda v: str(v).encode()),
+    st.binary(max_size=6))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(st.binary(max_size=64),
+                      st.lists(_PNM_TOKENS, max_size=10).map(b" ".join)))
+def test_pnm_any_bytes_give_an_image_or_a_typed_error(tmp_path, data):
+    path = tmp_path / "any.pnm"
+    path.write_bytes(data)
+    try:
+        image = read_pnm(path)
+    except SvtrError:
+        return
+    assert image.dtype == np.float32 and image.ndim in (2, 3)
 
 
 def test_dataset_roundtrip(tmp_path):

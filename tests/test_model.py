@@ -218,6 +218,52 @@ def test_zero_qk_weights_give_uniform_attention():
     np.testing.assert_allclose(grid, 1.0 / grid.size, atol=1e-6)
 
 
+def test_exported_attention_matches_numpy_heads_of_qkv_column_blocks():
+    # q, k and v are the three column blocks of attn.qkv.weight and head i is
+    # columns i*dh:(i+1)*dh of each block.  Weights far larger than the init
+    # make the heads' attention rows differ, so a split that mixes heads fails.
+    model = micro_model()
+    config = model.config
+    prefix = "stage2.block0."
+    assert config.stage_permutation(1) == ("G",)
+    rng = np.random.default_rng(10)
+    for name in ("norm1.gamma", "norm1.beta", "attn.qkv.weight", "attn.qkv.bias"):
+        p = model.params[prefix + name]
+        p.data = rng.normal(0.0, 0.5, p.shape).astype(np.float32)
+    seen = {}
+    block = model.mixing_block
+
+    def record_input(x, block_prefix, *args, **kwargs):
+        if block_prefix == prefix:
+            seen["x"] = x.data[0].astype(np.float64)
+        return block(x, block_prefix, *args, **kwargs)
+
+    model.mixing_block = record_input
+    image = np.random.default_rng(11).uniform(size=(1, 3, 16, 32)).astype(np.float32)
+    model.forward(image)
+
+    p = {name: model.params[prefix + name].data.astype(np.float64)
+         for name in ("norm1.gamma", "norm1.beta", "attn.qkv.weight", "attn.qkv.bias")}
+    x = seen["x"]                                                  # [n, d]
+    xhat = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
+    qkv = (xhat * p["norm1.gamma"] + p["norm1.beta"]) @ p["attn.qkv.weight"] \
+        + p["attn.qkv.bias"]
+    h, w, d = config.stage_geometry()[1]
+    heads = config.heads[1]
+    dh = d // heads
+    assert heads == 2
+    for head in range(heads):
+        q = qkv[:, head * dh:(head + 1) * dh]
+        k = qkv[:, d + head * dh:d + (head + 1) * dh]
+        scores = q @ k.T / np.sqrt(dh)
+        attn = np.exp(scores - scores.max(-1, keepdims=True))
+        attn /= attn.sum(-1, keepdims=True)
+        for query in range(h * w):
+            grid = export_attention(model, image, stage=2, block=0, head=head,
+                                    query_index=query)
+            np.testing.assert_allclose(grid, attn[query].reshape(h, w), rtol=0, atol=1e-5)
+
+
 def test_out_of_range_export_indices():
     model = micro_model()
     image = np.zeros((1, 3, 16, 32), dtype=np.float32)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from svtr import optim
 from svtr.exceptions import ContractError
 from svtr.optim import AdamW, LrSchedule, clip_grad_norm, scaled_peak_lr
 from svtr.tensor import Tensor
@@ -55,7 +56,7 @@ def test_adamw_first_step_magnitude():
     lr = 0.01
     opt.step(lr)
     # closed form: m_hat = 1, v_hat = 1, update = lr / (1 + eps)
-    expected = -lr * 1.0 / (1.0 + opt.eps)
+    expected = -lr * 1.0 / (1.0 + optim.EPS)
     assert np.isclose(float(p.data[0]), expected, rtol=1e-6)
 
 

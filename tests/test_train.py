@@ -1,6 +1,8 @@
 """Training-loop contracts: determinism, no-op steps, early descent, and the
 evaluation helper."""
 
+import types
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,9 @@ def test_validation_split_holds_out_samples():
     history = train(model, tiny_dataset(8, seed=4), epochs=1, batch_size=4,
                     peak_lr=1e-3, val_fraction=0.25)
     assert 0.0 <= history[0].accuracy <= 1.0
+
+
+def test_package_does_not_shadow_the_train_module():
+    import svtr.train as module
+    assert isinstance(module, types.ModuleType)
+    assert module.train is train
