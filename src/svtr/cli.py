@@ -9,6 +9,7 @@ randomness through --seed, exits 0 on success, and prints a single
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -30,13 +31,29 @@ FLOP_REFS_G = {"svtr-t": 0.29, "svtr-s": 0.63, "svtr-b": 3.55, "svtr-l": 6.07}
 REFERENCE_FLOP_GEOMETRY = (32, 100)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int, kind: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
+
+
+def _positive_finite_float(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
     return value
 
 
@@ -244,8 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=5)
     p.add_argument("--epochs", type=_positive_int, required=True)
     p.add_argument("--batch-size", type=_positive_int, default=16)
-    p.add_argument("--lr", type=float, help="peak learning rate (default: 5e-4*batch/2048)")
-    p.add_argument("--warmup-epochs", type=int, default=2)
+    p.add_argument("--lr", type=_positive_finite_float,
+                   help="peak learning rate (default: 5e-4*batch/2048)")
+    p.add_argument("--warmup-epochs", type=_non_negative_int, default=2)
     p.add_argument("--val-fraction", type=float, default=0.0)
     p.add_argument("--no-clip", action="store_true", help="disable gradient clipping")
     p.add_argument("--out", help="checkpoint directory")

@@ -199,30 +199,34 @@ def load_dataset(directory, h: int, w: int, charset: Charset,
     labels_path = os.path.join(directory, "labels.tsv")
     if not os.path.isfile(labels_path):
         raise DatasetError(f"missing labels file: {labels_path}")
+    try:
+        with open(labels_path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{labels_path}: not UTF-8 text ({exc})") from None
     samples = []
-    with open(labels_path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DatasetError(f"{labels_path}:{lineno}: expected 'path<TAB>text'")
-            rel, text = parts
-            unknown = sorted({ch for ch in text.lower() if ch not in charset.symbols})
-            if unknown:
-                raise DatasetError(
-                    f"{labels_path}:{lineno}: label {text!r} contains characters "
-                    f"outside the charset: {', '.join(repr(c) for c in unknown)}")
-            label = charset.encode(text)
-            if max_label_len is not None and len(label) > max_label_len:
-                raise DatasetError(
-                    f"{labels_path}:{lineno}: label of length {len(label)} exceeds "
-                    f"maximum {max_label_len}")
-            img_path = os.path.join(directory, rel)
-            if not os.path.isfile(img_path):
-                raise DatasetError(f"{labels_path}:{lineno}: missing image {img_path}")
-            image = load_image(img_path, h, w)
-            sample_id = os.path.splitext(os.path.basename(rel))[0]
-            samples.append(LabeledSample(image, label, sample_id))
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DatasetError(f"{labels_path}:{lineno}: expected 'path<TAB>text'")
+        rel, text = parts
+        unknown = sorted({ch for ch in text.lower() if ch not in charset.symbols})
+        if unknown:
+            raise DatasetError(
+                f"{labels_path}:{lineno}: label {text!r} contains characters "
+                f"outside the charset: {', '.join(repr(c) for c in unknown)}")
+        label = charset.encode(text)
+        if max_label_len is not None and len(label) > max_label_len:
+            raise DatasetError(
+                f"{labels_path}:{lineno}: label of length {len(label)} exceeds "
+                f"maximum {max_label_len}")
+        img_path = os.path.join(directory, rel)
+        if not os.path.isfile(img_path):
+            raise DatasetError(f"{labels_path}:{lineno}: missing image {img_path}")
+        image = load_image(img_path, h, w)
+        sample_id = os.path.splitext(os.path.basename(rel))[0]
+        samples.append(LabeledSample(image, label, sample_id))
     return samples

@@ -158,13 +158,22 @@ def _released(g):
                         "already released; run the forward again")
 
 
+def _needs_grad(t: Tensor) -> bool:
+    return t.requires_grad or bool(t._parents)
+
+
 def _accumulate(t: Tensor, g: np.ndarray):
-    if not (t.requires_grad or t._parents):
+    if not _needs_grad(t):
         return
     if t.grad is None:
-        # One C-ordered copy: the layout of a transposed gradient would
-        # change the BLAS rounding of later GEMMs.
-        t.grad = g.astype(t.dtype, order="C")
+        # C order, because the layout of a transposed gradient would change
+        # the BLAS rounding of later GEMMs.  An interior node takes a fresh
+        # C-ordered array as is (no rule writes into a gradient in place); a
+        # leaf keeps a private copy, so no two parameters share a ``grad``.
+        if t._parents:
+            t.grad = np.asarray(g, dtype=t.dtype, order="C")
+        else:
+            t.grad = g.astype(t.dtype, order="C")
     else:
         t.grad = t.grad + g.astype(t.dtype, copy=False)
 
@@ -180,7 +189,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    if any(t.requires_grad or t._parents for t in parents):
+    if any(_needs_grad(t) for t in parents):
         return Tensor(data, requires_grad=True, parents=tuple(parents), backward_fn=backward_fn)
     return Tensor(data)
 
@@ -196,8 +205,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), bwd)
 
@@ -206,8 +217,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        # A constant operand (the attention scale) gets no gradient: it would
+        # cost a full-size product and a reduction only to be dropped.
+        if _needs_grad(a):
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if _needs_grad(b):
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), bwd)
 
@@ -231,13 +246,15 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0 or not training:
         return x
-    keep = (rng.random(x.shape) >= rate)
-    scale = 1.0 / (1.0 - rate)
-    factor = (keep * scale).astype(x.dtype)
-    out_data = x.data * factor
+    # Backward keeps the 1-byte mask and rebuilds the factor from it; the
+    # product of the mask and the rounded scale is bitwise the rounded
+    # product, so both passes see the same factor.
+    keep = rng.random(x.shape) >= rate
+    scale = x.dtype.type(1.0 / (1.0 - rate))
+    out_data = x.data * (keep.astype(x.dtype) * scale)
 
     def bwd(g):
-        _accumulate(x, g * factor)
+        _accumulate(x, g * (keep.astype(x.dtype) * scale))
 
     return _make(out_data, (x,), bwd)
 
@@ -332,6 +349,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul expects rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    if b.data.ndim == 2:
+        # [..., d_in] @ [d_in, d_out] as one 2-D GEMM over the flattened
+        # rows, so the weight gradient is one GEMM rather than one per
+        # leading index and a sum over a [b, d_in, d_out] f64 stack.
+        d_in, d_out = b.shape
+        out_data = (_wide(a.data.reshape(-1, d_in)) @ _wide(b.data)).astype(a.dtype)
+
+        def bwd(g):
+            g64 = _wide(g.reshape(-1, d_out))
+            _accumulate(a, (g64 @ _wide(b.data).T).reshape(a.shape))
+            _accumulate(b, _wide(a.data.reshape(-1, d_in)).T @ g64)
+
+        return _make(out_data.reshape(*a.shape[:-1], d_out), (a, b), bwd)
     out_data = np.matmul(_wide(a.data), _wide(b.data)).astype(a.dtype)
 
     def bwd(g):

@@ -97,6 +97,10 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
     """
     if not dataset:
         raise ContractError("training dataset is empty")
+    if peak_lr is not None and not 0.0 <= peak_lr < math.inf:
+        raise ContractError(f"peak_lr must be finite and non-negative, got {peak_lr}")
+    if warmup_epochs < 0:
+        raise ContractError(f"warmup_epochs must be non-negative, got {warmup_epochs}")
     seq_len = model.config.seq_len
     _check_feasible(dataset, seq_len)
 

@@ -18,6 +18,7 @@ import conftest
 from svtr import tensor as T
 from svtr.audit import count_flops, count_params, param_breakdown
 from svtr.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from svtr.cli import PARAM_REFS
 from svtr.config import PRESETS, SvtrConfig
 from svtr.ctc import Charset, LabelSeq, collapse, ctc_loss, greedy_decode, min_timesteps
 from svtr.data import gen_dataset
@@ -50,9 +51,8 @@ def _reported(label, budget_s):
 
 @_reported("criterion 01 parameter audit", 5)
 def test_c01_parameter_audit():
-    refs = {"svtr-t": 4.15e6, "svtr-s": 8.45e6, "svtr-b": 22.66e6, "svtr-l": 38.81e6}
     deltas = {}
-    for name, ref in refs.items():
+    for name, ref in PARAM_REFS.items():
         config = PRESETS[name]
         total = count_params(config, include_classifier=False)
         deltas[name] = (total - ref) / ref

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from svtr.audit import count_flops, count_params, param_breakdown
+from svtr.cli import PARAM_REFS
 from svtr.config import PRESETS
 from svtr.exceptions import GeometryError
 from svtr.gradcheck import micro_config
 from svtr.model import SvtrModel
 
-PARAM_REFS_M = {"svtr-t": 4.15, "svtr-s": 8.45, "svtr-b": 22.66, "svtr-l": 38.81}
+PARAM_REFS_M = {name: ref / 1e6 for name, ref in PARAM_REFS.items()}
 
 
 @pytest.mark.parametrize("name,ref", sorted(PARAM_REFS_M.items()))

@@ -91,6 +91,18 @@ def test_non_positive_count_is_a_usage_error(capsys, argv):
     assert f"error: argument {argv[-2]}: must be a positive integer" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("train", "--config", "svtr-micro", "--epochs", "1", "--lr", "nan"),
+    ("train", "--config", "svtr-micro", "--epochs", "1", "--warmup-epochs", "-3"),
+], ids=["lr", "warmup-epochs"])
+def test_bad_schedule_value_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}: must be a " in err
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One short CLI training run shared by the downstream command tests."""

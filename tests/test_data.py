@@ -156,6 +156,33 @@ def test_missing_labels_file(tmp_path):
         load_dataset(tmp_path, 16, 64, Charset())
 
 
+def test_labels_file_not_utf8_is_a_dataset_error(tmp_path):
+    (tmp_path / "labels.tsv").write_bytes(b"x.ppm\tab\xff\n")
+    with pytest.raises(DatasetError) as exc:
+        load_dataset(tmp_path, 16, 64, Charset())
+    assert "labels.tsv" in str(exc.value)
+
+
+_LABEL_TOKENS = st.one_of(
+    st.sampled_from([b"x.ppm", b"missing.ppm", b"labels.tsv", b"\t", b"\n", b"\r\n",
+                     b"abc", b"\xc3\xa9", b"\xff"]),
+    st.binary(max_size=6))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(st.binary(max_size=64),
+                      st.lists(_LABEL_TOKENS, max_size=10).map(b"".join)))
+def test_labels_file_any_bytes_give_samples_or_a_typed_error(tmp_path, data):
+    write_pnm(tmp_path / "x.ppm", np.zeros((3, 16, 64)))
+    (tmp_path / "labels.tsv").write_bytes(data)
+    try:
+        samples = load_dataset(tmp_path, 16, 64, Charset(), max_label_len=5)
+    except SvtrError:
+        return
+    assert all(s.image.shape == (3, 16, 64) and len(s.label) <= 5 for s in samples)
+
+
 def test_out_of_charset_label_names_character(tmp_path):
     write_pnm(tmp_path / "x.ppm", np.zeros((3, 16, 64)))
     (tmp_path / "labels.tsv").write_text("x.ppm\théllo\n")

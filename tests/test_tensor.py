@@ -51,6 +51,28 @@ def test_matmul_grad_is_ones_times_b_transposed():
     np.testing.assert_allclose(a.grad, expected, rtol=1e-5)
 
 
+def test_matmul_by_a_matrix_is_one_gemm_over_flattened_rows():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(4, 32, 64)).astype(np.float32)
+    w = rng.normal(size=(64, 96)).astype(np.float32)
+    out = T.matmul(Tensor(x), Tensor(w))
+    expected = np.matmul(x.astype(np.float64), w.astype(np.float64)).astype(np.float32)
+    assert out.shape == (4, 32, 96)
+    assert out.data.tobytes() == expected.tobytes()
+
+
+def test_matmul_weight_grad_is_the_per_sample_sum():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(5, 12, 16)), requires_grad=True)
+    w = Tensor(rng.normal(size=(16, 8)), requires_grad=True)
+    g = rng.normal(size=(5, 12, 8))
+    T.mul(T.matmul(x, w), Tensor(g)).sum().backward()
+    expected = sum(x.data[i].T @ g[i] for i in range(5))
+    assert w.grad.dtype == np.float64
+    assert np.abs(w.grad - expected).max() <= 1e-12 * np.abs(expected).max()
+    np.testing.assert_allclose(x.grad, g @ w.data.T, rtol=1e-12)
+
+
 def test_conv2d_ones_counting():
     x = Tensor(np.ones((1, 1, 4, 4)))
     w = Tensor(np.ones((1, 1, 3, 3)))
@@ -159,6 +181,18 @@ def test_dropout_training_scales_survivors():
     np.testing.assert_allclose(values, [0.0, 2.0])
 
 
+def test_dropout_backward_rebuilds_the_forward_factor():
+    rng = np.random.default_rng(16)
+    x = Tensor(rng.normal(size=(6, 40)).astype(np.float32), requires_grad=True)
+    g = rng.normal(size=(6, 40)).astype(np.float32)
+    out = T.dropout(x, 0.3, True, np.random.default_rng(17))
+    T.mul(out, Tensor(g)).sum().backward()
+    keep = np.random.default_rng(17).random((6, 40)) >= 0.3
+    factor = (keep * (1.0 / (1.0 - 0.3))).astype(np.float32)
+    assert out.data.tobytes() == (x.data * factor).tobytes()
+    assert x.grad.tobytes() == (g * factor).tobytes()
+
+
 def test_gelu_fixed_points():
     out = T.gelu(Tensor(np.array([0.0, 100.0, -100.0])))
     np.testing.assert_allclose(out.data, [0.0, 100.0, 0.0], atol=1e-5)
@@ -212,6 +246,15 @@ def test_broadcast_add_backward_reduces():
     b = Tensor(np.zeros(4), requires_grad=True)
     (x + b).sum().backward()
     np.testing.assert_array_equal(b.grad, np.full(4, 3.0, dtype=np.float32))
+
+
+def test_leaf_grads_of_one_add_share_no_memory():
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    T.add(x, y).sum().backward()
+    assert not np.shares_memory(x.grad, y.grad)
+    np.testing.assert_array_equal(x.grad, y.grad)
 
 
 def test_backward_frees_interior_activations_and_keeps_leaf_grads():

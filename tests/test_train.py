@@ -59,6 +59,15 @@ def test_empty_dataset_rejected():
         train(model, [], epochs=1, batch_size=4)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"peak_lr": float("nan")}, {"peak_lr": float("inf")}, {"peak_lr": -1e-3},
+    {"warmup_epochs": -1}])
+def test_bad_schedule_rejected(kwargs):
+    model = SvtrModel(micro_config(), seed=0)
+    with pytest.raises(ContractError):
+        train(model, tiny_dataset(), epochs=1, batch_size=8, **kwargs)
+
+
 def test_infeasible_label_rejected_before_training():
     from svtr.ctc import LabelSeq
     from svtr.data import LabeledSample
