@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import SvtrConfig
 from .exceptions import CheckpointError, CompatibilityError
+from .model import SvtrModel
 
 MAGIC = b"SVTRCKP\x01"
 FORMAT_VERSION = 1
@@ -130,8 +131,6 @@ def check_compatible(expected: SvtrConfig, found: SvtrConfig):
 
 def restore_model(path, expected_config: SvtrConfig | None = None):
     """Build a model straight from a checkpoint's arrays."""
-    from .model import SvtrModel
-
     data = load_checkpoint(path)
     if expected_config is not None:
         check_compatible(expected_config, data.config)

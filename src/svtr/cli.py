@@ -22,7 +22,7 @@ from .ctc import Charset, greedy_decode
 from .data import RenderStyle, gen_dataset, load_dataset, load_image, save_dataset, write_pnm
 from .exceptions import SvtrError
 from .model import SvtrModel, export_attention
-from .train import evaluate, train
+from .train import CLIP_NORM, WARMUP_EPOCHS, evaluate, train
 
 # Published reference figures for the four variants (excluding classifier).
 PARAM_REFS = {"svtr-t": 4.15e6, "svtr-s": 8.45e6, "svtr-b": 22.66e6, "svtr-l": 38.81e6}
@@ -31,30 +31,26 @@ FLOP_REFS_G = {"svtr-t": 0.29, "svtr-s": 0.63, "svtr-b": 3.55, "svtr-l": 6.07}
 REFERENCE_FLOP_GEOMETRY = (32, 100)
 
 
-def _int_at_least(low: int, kind: str):
-    def parse(text: str) -> int:
+def _number(convert, in_range, kind: str):
+    """An argparse type: ``convert`` the text, then require ``in_range``
+    (NaN fails any bound written as a comparison)."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not in_range(value):
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {text}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
-
-
-def _positive_finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_finite_float = _number(float, lambda v: 0.0 < v < math.inf, "a positive finite number")
+_non_negative_float = _number(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_fraction = _number(float, lambda v: 0.0 <= v < 1.0, "a number in [0, 1)")
 
 
 def _add_config_arg(p):
@@ -131,7 +127,7 @@ def cmd_train(args):
     history = train(model, dataset, epochs=args.epochs, batch_size=args.batch_size,
                     seed=args.seed, peak_lr=args.lr, val_fraction=args.val_fraction,
                     warmup_epochs=args.warmup_epochs,
-                    clip_norm=None if args.no_clip else 5.0,
+                    clip_norm=None if args.no_clip else CLIP_NORM,
                     checkpoint_dir=args.out, log_path=args.log)
     for m in history[-5:]:
         print(f"epoch {m.epoch}: loss {m.loss:.4f} accuracy {m.accuracy:.4f}")
@@ -212,7 +208,7 @@ def cmd_attn_dump(args):
 
 def cmd_gradcheck(args):
     dtype = np.float64 if args.dtype == "f64" else np.float32
-    tol = gc.TOLERANCES[np.float64 if args.dtype == "f64" else np.float32]
+    tol = gc.TOLERANCES[dtype]
     failed = False
     print(f"{'op':<22} {'worst rel err':>14}")
     for name, err in gc.run_suite(dtype=dtype).items():
@@ -249,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=5)
     p.add_argument("--height", type=int, default=32)
     p.add_argument("--width", type=int, default=128)
-    p.add_argument("--noise-sigma", type=float, default=0.02)
+    p.add_argument("--noise-sigma", type=_non_negative_float, default=RenderStyle.noise_sigma)
     p.set_defaults(fn=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model")
@@ -263,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=_positive_int, default=16)
     p.add_argument("--lr", type=_positive_finite_float,
                    help="peak learning rate (default: 5e-4*batch/2048)")
-    p.add_argument("--warmup-epochs", type=_non_negative_int, default=2)
-    p.add_argument("--val-fraction", type=float, default=0.0)
+    p.add_argument("--warmup-epochs", type=_non_negative_int, default=WARMUP_EPOCHS)
+    p.add_argument("--val-fraction", type=_fraction, default=0.0)
     p.add_argument("--no-clip", action="store_true", help="disable gradient clipping")
     p.add_argument("--out", help="checkpoint directory")
     p.add_argument("--log", help="metrics log path")

@@ -2,7 +2,7 @@
 
 Class index 0 is the blank; the default English charset is blank + digits +
 lowercase letters (37 classes).  The loss runs the log-space forward/backward
-recursions in f64 and exposes its gradient through the autodiff graph via the
+recursion in f64 and exposes its gradient through the autodiff graph via the
 alpha-beta posterior.
 """
 
@@ -105,29 +105,34 @@ def _forward_backward(lp: np.ndarray, labels: list[LabelSeq]):
     """Log-space alpha/beta over the blank-interleaved labels, batched.
 
     lp: [b, T, N] log probabilities (f64).  Returns (per-sample -log P [b],
-    grad wrt lp [b, T, N]).  Extended labels are padded with blanks to the
-    longest; padded states emit -inf, and since logaddexp(x, -inf) == x
-    exactly, every valid state gets the same bits as a lone recursion.
+    grad wrt lp [b, T, N]).  Beta is the alpha of the time-reversed problem,
+    so one recursion runs over the samples and then their reversals (time and
+    labels reversed), making the logaddexp calls a beta recursion would make.
+    Extended labels are padded with blanks to the longest; padded states emit
+    -inf, and since logaddexp(x, -inf) == x exactly, every valid state gets
+    the same bits as a lone recursion.
     """
     b, T_, N = lp.shape
     ninf = -np.inf
-    lengths = np.array([2 * len(label) + 1 for label in labels])        # S_i
+    lengths = np.array([2 * len(label) + 1 for label in labels] * 2)    # S_i
     S = int(lengths.max())
-    ext = np.zeros((b, S), dtype=np.int64)
+    ext = np.zeros((2 * b, S), dtype=np.int64)
     for i, label in enumerate(labels):
         ext[i, 1:2 * len(label):2] = label.indices
+        ext[b + i, 1:2 * len(label):2] = label.indices[::-1]
     state = np.arange(S)
-    valid = state < lengths[:, None]                                     # [b, S]
-    can_skip = np.zeros((b, S), dtype=bool)
+    valid = state < lengths[:, None]                                     # [2b, S]
+    can_skip = np.zeros((2 * b, S), dtype=bool)
     can_skip[:, 2:] = (ext[:, 2:] != BLANK) & (ext[:, 2:] != ext[:, :-2]) & valid[:, 2:]
 
-    # Emissions per extended state, time-major: [T, b, S].
-    lpe = np.take_along_axis(lp, np.broadcast_to(ext[:, None, :], (b, T_, S)), axis=2)
+    # Emissions per extended state, time-major: [T, 2b, S].
+    lp = np.concatenate([lp, lp[:, ::-1]])
+    lpe = np.take_along_axis(lp, np.broadcast_to(ext[:, None, :], (2 * b, T_, S)), axis=2)
     lpe = np.where(valid[:, None, :], lpe, ninf).transpose(1, 0, 2)
 
-    # alpha carries two -inf columns on the left, beta two on the right, so
-    # the one- and two-state shifts read -inf past the label's ends.
-    alpha = np.full((T_, b, S + 2), ninf)
+    # alpha carries two -inf columns on the left, so the one- and two-state
+    # shifts read -inf before a label's first state.
+    alpha = np.full((T_, 2 * b, S + 2), ninf)
     alpha[0, :, 2:4] = lpe[0, :, :2]
     for t in range(1, T_):
         prev = alpha[t - 1]
@@ -136,26 +141,20 @@ def _forward_backward(lp: np.ndarray, labels: list[LabelSeq]):
         alpha[t, :, 2:] = cand + lpe[t]
 
     rows = np.arange(b)
+    lengths = lengths[:b]
     log_p = np.logaddexp(alpha[-1, rows, lengths + 1], alpha[-1, rows, lengths])
-
-    can_skip_fwd = np.zeros((b, S), dtype=bool)
-    can_skip_fwd[:, :-2] = can_skip[:, 2:]
-    beta = np.full((T_, b, S + 2), ninf)
-    beta[-1, :, :-2] = np.where(state >= lengths[:, None] - 2, lpe[-1], ninf)
-    for t in range(T_ - 2, -1, -1):
-        nxt = beta[t + 1]
-        cand = np.logaddexp(nxt[:, :-2], nxt[:, 1:-1])
-        cand = np.where(can_skip_fwd, np.logaddexp(cand, nxt[:, 2:]), cand)
-        beta[t, :, :-2] = cand + lpe[t]
+    # State s is state S_i - 1 - s of the reversal; padded states stay put.
+    mirror = np.where(valid[:b], lengths[:, None] - 1 - state, state)
+    beta = alpha[::-1, b:, 2:][:, rows[:, None], mirror]
 
     # Posterior over extended states; alpha and beta both include the emission
     # at t, so divide it out once.
     with np.errstate(invalid="ignore"):
-        occupancy = np.exp(alpha[:, :, 2:] + beta[:, :, :-2] - lpe - log_p[:, None])
+        occupancy = np.exp(alpha[:, :b, 2:] + beta - lpe[:, :b] - log_p[:, None])
     occupancy = np.nan_to_num(occupancy, nan=0.0, posinf=0.0)             # [T, b, S]
     # Flat index of (sample, t, class) per state; bincount adds in input
     # order, so each cell sums its states in ascending order.
-    cell = (rows[None, :, None] * T_ + np.arange(T_)[:, None, None]) * N + ext[None]
+    cell = (rows[None, :, None] * T_ + np.arange(T_)[:, None, None]) * N + ext[None, :b]
     grad = np.bincount(cell.reshape(-1), weights=-occupancy.reshape(-1), minlength=b * T_ * N)
     return -log_p, grad.reshape(b, T_, N)
 

@@ -14,16 +14,21 @@ import numpy as np
 
 from . import font
 from .ctc import Charset, LabelSeq
-from .exceptions import DatasetError, RenderError
+from .exceptions import ContractError, DatasetError, RenderError
+
+GLYPH_SCALE = 2     # preferred integer glyph scale; shrunk to fit
+CONTRAST = 0.8      # ink/background separation in [0, 1]
 
 
 @dataclass(frozen=True)
 class RenderStyle:
-    scale: int = 2          # preferred integer glyph scale; shrunk to fit
     x_jitter: int = 1
     y_jitter: int = 1
-    contrast: float = 0.8   # ink/background separation in [0, 1]
     noise_sigma: float = 0.02
+
+    def __post_init__(self):
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ContractError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -48,12 +53,12 @@ def render_text(text: str, h: int, w: int, style: RenderStyle | None = None,
     """Render dark glyphs on a light background; pure in (text, style, seed)."""
     style = style or RenderStyle()
     rng = np.random.default_rng(seed)
-    bg = 0.5 + style.contrast / 2
-    ink = 0.5 - style.contrast / 2
+    bg = 0.5 + CONTRAST / 2
+    ink = 0.5 - CONTRAST / 2
     canvas = np.full((h, w), bg, dtype=np.float64)
 
     if text:
-        scale = max(1, style.scale)
+        scale = GLYPH_SCALE
         while scale > 1 and (_row_width(len(text), scale) > w or font.GLYPH_H * scale > h):
             scale -= 1
         if _row_width(len(text), scale) > w or font.GLYPH_H * scale > h:
@@ -84,6 +89,9 @@ def gen_dataset(n: int, charset: Charset, len_range: tuple[int, int],
     lo, hi = len_range
     if lo < 1 or hi < lo:
         raise DatasetError(f"invalid length range {len_range}")
+    fit = (w + 1) // _advance(1) if font.GLYPH_H <= h else 0    # at glyph scale 1
+    if hi > fit:
+        raise RenderError(f"length {hi} does not fit {h}x{w}; the longest that fits is {fit}")
     rng = np.random.default_rng(seed)
     samples = []
     for i in range(n):

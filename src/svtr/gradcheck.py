@@ -20,6 +20,10 @@ from .tensor import BatchNormState, Tensor
 
 H_STEP = 1e-3
 TOLERANCES = {np.float64: 1e-4, np.float32: 1e-2}
+# check_model's coordinates per parameter tensor, seed and step.
+MODEL_SAMPLES_PER_PARAM = 8
+MODEL_SEED = 7
+MODEL_H_STEP = 1e-5
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -77,17 +81,13 @@ def check_fn(fn, arrays: list[np.ndarray], dtype=np.float64) -> float:
     return worst
 
 
-def _rng(seed=0):
-    return np.random.default_rng(seed)
-
-
 def _uniform(rng, shape):
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
 def suite_cases() -> dict:
     """Named scalar-valued functions with their input arrays."""
-    rng = _rng(1234)
+    rng = np.random.default_rng(1234)
     mask = np.zeros((6, 6), dtype=bool)
     mask[np.abs(np.arange(6)[:, None] - np.arange(6)[None, :]) <= 2] = True
     bn_state = lambda: BatchNormState.create(3)  # noqa: E731 - fresh stats per eval
@@ -143,28 +143,27 @@ def run_suite(dtype=np.float64) -> dict[str, float]:
             for name, (fn, arrays) in suite_cases().items()}
 
 
-def micro_config(input_w: int = 32) -> SvtrConfig:
+def micro_config() -> SvtrConfig:
     """Tiny end-to-end architecture for whole-model gradient checks: the
-    svtr-micro preset with 5 classes and labels of at most 3 symbols."""
-    return replace(PRESETS["svtr-micro"], charset_size=5, input_w=input_w, max_label_len=3)
+    svtr-micro preset at 16x32 with 5 classes and labels of at most 3 symbols."""
+    return replace(PRESETS["svtr-micro"], charset_size=5, input_w=32, max_label_len=3)
 
 
-def check_model(dtype=np.float64, samples_per_param: int = 8,
-                seed: int = 7, h: float = 1e-5) -> dict[str, float]:
+def check_model(dtype=np.float64) -> dict[str, float]:
     """End-to-end check: CTC loss gradient of every parameter vs central
     differences at a deterministic sample of coordinates per tensor.
 
     The oracle runs on an f64 shadow model holding the same values, with a
-    smaller step than the per-op checks: through the full depth the h=1e-3
+    smaller step than the per-op checks: through the full depth the H_STEP
     truncation term already exceeds the f64 tolerance.
     """
     cfg = micro_config()
-    model = SvtrModel(cfg, seed=seed, dtype=dtype)
+    model = SvtrModel(cfg, seed=MODEL_SEED, dtype=dtype)
     shadow = SvtrModel.from_state(cfg, {name: p.data for name, p in model.params.items()},
                                   model.named_buffers(), dtype=np.float64)
     model.eval()   # dropout is 0 anyway; eval keeps BN stats frozen across evals
     shadow.eval()
-    rng = _rng(seed)
+    rng = np.random.default_rng(MODEL_SEED)
     image = rng.uniform(0.0, 1.0, size=(1, 3, cfg.input_h, cfg.input_w))
     labels = [LabelSeq((1, 3))]
 
@@ -177,15 +176,15 @@ def check_model(dtype=np.float64, samples_per_param: int = 8,
     loss = ctc_loss(T.log_softmax(logits, axis=-1), labels)
     loss.backward()
 
-    pick = _rng(seed + 1)
+    pick = np.random.default_rng(MODEL_SEED + 1)
     errors: dict[str, float] = {}
     for name, p in model.params.items():
         n = p.size
-        coords = pick.choice(n, size=min(samples_per_param, n), replace=False)
+        coords = pick.choice(n, size=min(MODEL_SAMPLES_PER_PARAM, n), replace=False)
         analytic = p.grad.reshape(-1).astype(np.float64) if p.grad is not None \
             else np.zeros(n)
         flat = shadow.params[name].data.reshape(-1)
-        numeric = [central_difference(loss_value, flat, c, h) for c in coords]
+        numeric = [central_difference(loss_value, flat, c, MODEL_H_STEP) for c in coords]
         # Normalize per tensor, not per coordinate, so near-zero entries do
         # not blow up the relative error.
         errors[name] = max_rel_error(analytic[coords], np.asarray(numeric))

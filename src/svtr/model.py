@@ -99,13 +99,17 @@ def parameter_spec(config: SvtrConfig) -> list[ParamSpec]:
     return specs
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with redraws outside +-2 std."""
-    x = rng.standard_normal(shape) * std
-    bad = np.abs(x) > 2 * std
+INIT_STD = 0.02
+DEFAULT_SEED = 42
+
+
+def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) with redraws outside +-2 INIT_STD."""
+    x = rng.standard_normal(shape) * INIT_STD
+    bad = np.abs(x) > 2 * INIT_STD
     while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum())) * std
-        bad = np.abs(x) > 2 * std
+        x[bad] = rng.standard_normal(int(bad.sum())) * INIT_STD
+        bad = np.abs(x) > 2 * INIT_STD
     return x.astype(np.float32)
 
 
@@ -123,9 +127,6 @@ def _state_entry(state: dict[str, np.ndarray], name: str, shape: tuple) -> np.nd
         raise ShapeError(f"tensor {name}: state shape {state[name].shape} "
                          f"!= model shape {tuple(shape)}")
     return state[name]
-
-
-DEFAULT_SEED = 42
 
 
 class SvtrModel:
@@ -285,9 +286,9 @@ class SvtrModel:
         d = x.shape[-1]
         if x.shape[1] != h * w:
             raise ShapeError(f"combining sequence length {x.shape[1]} != {h}x{w}")
-        x = T.transpose(T.reshape(x, (b, h, w, d)), (0, 3, 1, 2))
-        x = T.mean_pool_height(x)                                 # [b, d, 1, w]
-        x = T.transpose(T.reshape(x, (b, d, w)), (0, 2, 1))
+        # Tokens are row-major over h x w, so as [b, 1, h, w*d] height is axis 2.
+        x = T.mean_pool_height(T.reshape(x, (b, 1, h, w * d)))  # [b, 1, 1, w*d]
+        x = T.reshape(x, (b, w, d))
         x = T.linear(x, p["combine.fc.weight"], p["combine.fc.bias"])
         x = T.gelu(x)
         return self._drop(x, self.config.dropout_rate)

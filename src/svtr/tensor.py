@@ -35,22 +35,20 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_id")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None,
-                 parents: tuple = (), backward_fn=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else None)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float32)
-        elif dtype is None and not isinstance(data, np.ndarray):
-            # Python scalars/lists default to the f32 storage dtype;
-            # explicit ndarrays keep their float dtype (f64 shadow checks).
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
+        # Python scalars and lists take the f32 storage dtype; float ndarrays
+        # keep theirs (f64 shadow checks).
+        if arr.dtype not in (np.float32, np.float64) or not isinstance(data, np.ndarray):
             arr = arr.astype(np.float32)
         if arr.ndim > 4:
             raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 4")
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
-        self._parents = parents
-        self._backward_fn = backward_fn
+        # Set only by ``_make``, on the output of an op.
+        self._parents: tuple = ()
+        self._backward_fn = None
         self._id = next(_ids)
 
     # -- basic properties ---------------------------------------------------
@@ -72,9 +70,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     # -- graph --------------------------------------------------------------
 
@@ -158,12 +153,8 @@ def _released(g):
                         "already released; run the forward again")
 
 
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or bool(t._parents)
-
-
 def _accumulate(t: Tensor, g: np.ndarray):
-    if not _needs_grad(t):
+    if not t.requires_grad:
         return
     if t.grad is None:
         # C order, because the layout of a transposed gradient would change
@@ -189,9 +180,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    if any(_needs_grad(t) for t in parents):
-        return Tensor(data, requires_grad=True, parents=tuple(parents), backward_fn=backward_fn)
-    return Tensor(data)
+    """The output of an op: a graph node when any parent requires grad."""
+    out = Tensor(data)
+    if any(t.requires_grad for t in parents):
+        out.requires_grad = True
+        out._parents = tuple(parents)
+        out._backward_fn = backward_fn
+    return out
 
 
 def _wide(a: np.ndarray) -> np.ndarray:
@@ -205,9 +200,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
 
     def bwd(g):
-        if _needs_grad(a):
+        if a.requires_grad:
             _accumulate(a, _unbroadcast(g, a.shape))
-        if _needs_grad(b):
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(out_data, (a, b), bwd)
@@ -219,9 +214,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g):
         # A constant operand (the attention scale) gets no gradient: it would
         # cost a full-size product and a reduction only to be dropped.
-        if _needs_grad(a):
+        if a.requires_grad:
             _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if _needs_grad(b):
+        if b.requires_grad:
             _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out_data, (a, b), bwd)
@@ -374,12 +369,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[..., d_in] @ w[d_in, d_out] + b."""
-    y = matmul(x, w)
-    if b is not None:
-        y = add(y, b)
-    return y
+    return add(matmul(x, w), b)
 
 
 # -- convolution ------------------------------------------------------------
@@ -393,7 +385,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int
     return cols.reshape(b, ci * kh * kw, oh * ow)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
     """Cross-correlation with per-axis stride and zero padding."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
@@ -415,17 +407,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
     cols = _im2col(xp, kh, kw, sh, sw, oh, ow)                       # [b, ci*kh*kw, oh*ow]
     wf = weight.data.reshape(co, ci * kh * kw)
     out_data = np.matmul(_wide(wf), _wide(cols)).astype(x.dtype)     # [b, co, oh*ow]
-    out_data = out_data.reshape(b, co, oh, ow)
-    if bias is not None:
-        out_data = out_data + bias.data.reshape(1, co, 1, 1)
+    out_data = out_data.reshape(b, co, oh, ow) + bias.data.reshape(1, co, 1, 1)
 
     def bwd(g):
         gf = _wide(g.reshape(b, co, oh * ow))
         # b GEMMs and a sum over b: an einsum here never reaches BLAS.
         gw = np.matmul(gf, _wide(cols).swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
         _accumulate(weight, gw)
-        if bias is not None:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        _accumulate(bias, g.sum(axis=(0, 2, 3)))
         gcols = np.matmul(_wide(wf).T, gf)                           # [b, ci*kh*kw, oh*ow]
         gcols = gcols.reshape(b, ci, kh, kw, oh, ow)
         gxp = np.zeros(xp.shape)
@@ -436,8 +425,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None,
             gxp = gxp[:, :, ph:ph + h, pw:pw + w]
         _accumulate(x, gxp)
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_data, parents, bwd)
+    return _make(out_data, (x, weight, bias), bwd)
 
 
 # -- normalization ----------------------------------------------------------

@@ -24,6 +24,8 @@ from .optim import AdamW, LrSchedule, clip_grad_norm, scaled_peak_lr
 from .tensor import Tensor
 
 METRICS_HEADER = "# step\tlr\tloss\taccuracy\n"
+WARMUP_EPOCHS = 2
+CLIP_NORM = 5.0
 
 
 @dataclass
@@ -87,8 +89,8 @@ def _check_feasible(samples: list[LabeledSample], seq_len: int):
 
 def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
           batch_size: int, seed: int = 42, peak_lr: float | None = None,
-          weight_decay: float = 0.05, warmup_epochs: int = 2,
-          val_fraction: float = 0.0, clip_norm: float | None = 5.0,
+          weight_decay: float = 0.05, warmup_epochs: int = WARMUP_EPOCHS,
+          val_fraction: float = 0.0, clip_norm: float | None = CLIP_NORM,
           checkpoint_dir=None, log_path=None) -> list[EpochMetrics]:
     """Run the full recipe; returns per-epoch metrics (also written to log_path).
 
@@ -101,6 +103,8 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
         raise ContractError(f"peak_lr must be finite and non-negative, got {peak_lr}")
     if warmup_epochs < 0:
         raise ContractError(f"warmup_epochs must be non-negative, got {warmup_epochs}")
+    if not 0.0 <= val_fraction < 1.0:
+        raise ContractError(f"val_fraction must be in [0, 1), got {val_fraction}")
     seq_len = model.config.seq_len
     _check_feasible(dataset, seq_len)
 

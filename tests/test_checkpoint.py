@@ -6,12 +6,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from svtr.audit import count_params
-from svtr.checkpoint import (HEADER_KEYS, RECORD_KEYS, check_compatible, load_checkpoint,
-                             restore_model, save_checkpoint)
+from svtr.checkpoint import (HEADER_KEYS, MAGIC, RECORD_KEYS, CheckpointData,
+                             check_compatible, load_checkpoint, restore_model,
+                             save_checkpoint)
+from svtr.config import PRESETS
 from svtr.exceptions import (CheckpointError, CompatibilityError, ContractError,
-                             ShapeError)
+                             ShapeError, SvtrError)
 from svtr.gradcheck import micro_config
 from svtr.model import SvtrModel
 
@@ -150,3 +153,40 @@ def test_record_missing_field_is_a_checkpoint_error(model, tmp_path, key):
     _rewrite_header(path, lambda header: header["tensors"][3].pop(key))
     with pytest.raises(CheckpointError, match=key):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def micro_ckpt(tmp_path_factory):
+    """A valid svtr-micro checkpoint's bytes, its header length, and a scratch path."""
+    path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+    save_checkpoint(path, SvtrModel(PRESETS["svtr-micro"], seed=0), step=3,
+                    metrics={"loss": 1.0})
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    return blob, header_len, path
+
+
+def _loads_or_typed_error(path, blob):
+    path.write_bytes(blob)
+    try:
+        data = load_checkpoint(path)
+    except SvtrError:
+        return
+    assert isinstance(data, CheckpointData)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.binary(max_size=96), magic=st.booleans())
+def test_load_any_bytes_give_data_or_a_typed_error(micro_ckpt, data, magic):
+    _, _, path = micro_ckpt
+    _loads_or_typed_error(path, (MAGIC if magic else b"") + data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pick=st.data(), value=st.integers(0, 255))
+def test_load_single_byte_mutation_gives_data_or_a_typed_error(micro_ckpt, pick, value):
+    blob, header_len, path = micro_ckpt
+    # Most positions land in the header, where a mutation can reach the parser.
+    at = pick.draw(st.one_of(st.integers(0, 16 + header_len - 1),
+                             st.integers(0, len(blob) - 1)))
+    _loads_or_typed_error(path, blob[:at] + bytes([value]) + blob[at + 1:])

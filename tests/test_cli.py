@@ -103,6 +103,22 @@ def test_bad_schedule_value_is_a_usage_error(capsys, argv):
     assert f"error: argument {argv[-2]}: must be a " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("train", "--config", "svtr-micro", "--epochs", "1", "--val-fraction", "nan"),
+    ("train", "--config", "svtr-micro", "--epochs", "1", "--val-fraction", "-0.5"),
+    ("train", "--config", "svtr-micro", "--epochs", "1", "--val-fraction", "1"),
+    ("gen-data", "--out", "unused", "--n", "1", "--noise-sigma", "nan"),
+    ("gen-data", "--out", "unused", "--n", "1", "--noise-sigma", "-1"),
+], ids=["val-fraction-nan", "val-fraction-negative", "val-fraction-one",
+        "noise-sigma-nan", "noise-sigma-negative"])
+def test_out_of_range_float_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {argv[-2]}: must be a " in err
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One short CLI training run shared by the downstream command tests."""

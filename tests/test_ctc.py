@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from svtr import tensor as T
-from svtr.ctc import (BLANK, Charset, LabelSeq, collapse, ctc_loss, edit_accuracy,
-                      greedy_decode, min_timesteps)
+from svtr.ctc import (BLANK, Charset, LabelSeq, _forward_backward, collapse, ctc_loss,
+                      edit_accuracy, greedy_decode, min_timesteps)
 from svtr.exceptions import ContractError, DatasetError, FeasibilityError
 from svtr.tensor import Tensor
 
@@ -165,6 +165,59 @@ def test_batch_gradient_rows_equal_single_sample_gradients():
         singles.append(float(loss.data))
         np.testing.assert_array_equal(batch.grad[i], one.grad[0] * (1.0 / b))
     assert np.isclose(batch_loss, np.mean(singles), rtol=1e-6, atol=0.0)
+
+
+def lone_forward_backward(lp, label):
+    """Reference for one sample: separate alpha and beta recursions over the
+    blank-interleaved label, in the log-space form of the batched one."""
+    ninf = -np.inf
+    ext = [BLANK]
+    for c in label.indices:
+        ext += [c, BLANK]
+    S = len(ext)
+    skip = np.array([s >= 2 and ext[s] != BLANK and ext[s] != ext[s - 2] for s in range(S)])
+    e = lp[:, ext]                                                   # [T, S]
+    alpha = np.full(e.shape, ninf)
+    beta = np.full(e.shape, ninf)
+    alpha[0, :2] = e[0, :2]
+    beta[-1, max(S - 2, 0):] = e[-1, max(S - 2, 0):]
+    for t in range(1, len(e)):
+        prev = np.concatenate([[ninf, ninf], alpha[t - 1]])
+        cand = np.logaddexp(prev[2:], prev[1:-1])
+        alpha[t] = np.where(skip, np.logaddexp(cand, prev[:-2]), cand) + e[t]
+    skip_next = np.concatenate([skip, [False, False]])[2:]
+    for t in range(len(e) - 2, -1, -1):
+        nxt = np.concatenate([beta[t + 1], [ninf, ninf]])
+        cand = np.logaddexp(nxt[:-2], nxt[1:-1])
+        beta[t] = np.where(skip_next, np.logaddexp(cand, nxt[2:]), cand) + e[t]
+    log_p = np.logaddexp(alpha[-1, S - 1], alpha[-1, S - 2] if S > 1 else ninf)
+    with np.errstate(invalid="ignore"):
+        occupancy = np.exp(alpha + beta - e - log_p)
+    occupancy = np.nan_to_num(occupancy, nan=0.0, posinf=0.0)
+    grad = np.zeros(lp.shape)
+    for s in range(S):
+        grad[:, ext[s]] -= occupancy[:, s]
+    return -log_p, grad
+
+
+def test_single_recursion_matches_separate_alpha_beta_bitwise():
+    # Beta read back from the time-reversed half of the batch must carry the
+    # bits of a beta recursion: empty labels, repeats, -inf log-probs and
+    # infeasible labels included.
+    rng = np.random.default_rng(2006)
+    for _ in range(300):
+        b, t, n = int(rng.integers(1, 7)), int(rng.integers(1, 11)), int(rng.integers(2, 6))
+        lps = np.stack([random_log_probs(rng, t, n) for _ in range(b)])
+        lps = lps.astype(np.float32).astype(np.float64)
+        lps[rng.random(lps.shape) < 0.05] = -np.inf
+        labels = [LabelSeq(tuple(int(c) for c in rng.integers(1, min(n, 3), size=length)))
+                  for length in rng.integers(0, t // 2 + 2, size=b)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nll, grad = _forward_backward(lps, labels)
+            for i, label in enumerate(labels):
+                want_nll, want_grad = lone_forward_backward(lps[i], label)
+                assert nll[i].tobytes() == np.float64(want_nll).tobytes()
+                assert grad[i].tobytes() == want_grad.tobytes()
 
 
 def test_empty_batch_raises():

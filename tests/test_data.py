@@ -8,7 +8,7 @@ from svtr import font
 from svtr.ctc import Charset
 from svtr.data import (LabeledSample, RenderStyle, gen_dataset, load_dataset,
                        read_pnm, render_text, save_dataset, write_pnm)
-from svtr.exceptions import DatasetError, RenderError, SvtrError
+from svtr.exceptions import ContractError, DatasetError, RenderError, SvtrError
 
 QUIET = RenderStyle(noise_sigma=0.0, x_jitter=0, y_jitter=0)
 
@@ -78,6 +78,23 @@ def test_gen_dataset_length_range():
     samples = gen_dataset(200, Charset(), (2, 4), 16, 64, seed=0)
     lengths = {len(s.label) for s in samples}
     assert lengths == {2, 3, 4}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_gen_dataset_refuses_unreachable_length_up_front(seed):
+    with pytest.raises(RenderError, match="longest that fits is 21"):
+        gen_dataset(1, Charset(), (1, 22), 32, 128, seed=seed)
+
+
+def test_gen_dataset_renders_the_longest_length_that_fits():
+    samples = gen_dataset(3, Charset(), (21, 21), 32, 128, seed=0)
+    assert [len(s.label) for s in samples] == [21, 21, 21]
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
+def test_render_style_rejects_bad_noise_sigma(sigma):
+    with pytest.raises(ContractError, match="noise_sigma"):
+        RenderStyle(noise_sigma=sigma)
 
 
 def test_pnm_roundtrip_gray(tmp_path):

@@ -147,3 +147,10 @@ def test_package_does_not_shadow_the_train_module():
     import svtr.train as module
     assert isinstance(module, types.ModuleType)
     assert module.train is train
+
+
+@pytest.mark.parametrize("val_fraction", [float("nan"), float("inf"), -0.5, 1.0])
+def test_bad_val_fraction_rejected(val_fraction):
+    model = SvtrModel(micro_config(), seed=0)
+    with pytest.raises(ContractError, match="val_fraction"):
+        train(model, tiny_dataset(), epochs=1, batch_size=8, val_fraction=val_fraction)
