@@ -3,7 +3,7 @@ training bit-identical.
 
     python3 scripts/train_digest.py
 
-prints three lines, ``<run> <sha256>``:
+prints four lines, ``<run> <sha256>``:
 
 - ``c08``: the svtr-micro overfit recipe of acceptance criterion c08
   (corpus seed 123, model and train seed 42, lr 0.03, 300 epochs), over
@@ -13,7 +13,10 @@ prints three lines, ``<run> <sha256>``:
   seed 7 (2 epochs, batch 8, dropout on, 8 of 64 samples held out), over
   the same values;
 - ``gradcheck``: every error of ``run_suite`` and ``check_model`` in f64
-  and f32.
+  and f32;
+- ``t-infer``: the svtr-t eval logits of 8 seed-7 images, at batch 8 and
+  each image alone at batch 1, from a model restored from the checkpoint of
+  ``SvtrModel(svtr-t, seed=7)``.
 
 BLAS is pinned to one thread before numpy loads, because a threaded GEMM
 may sum in another order.  The script imports ``svtr`` from the ``src``
@@ -30,6 +33,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -37,10 +41,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 from svtr import gradcheck  # noqa: E402
+from svtr.checkpoint import restore_model, save_checkpoint  # noqa: E402
 from svtr.config import PRESETS  # noqa: E402
 from svtr.ctc import Charset  # noqa: E402
 from svtr.data import gen_dataset  # noqa: E402
 from svtr.model import SvtrModel  # noqa: E402
+from svtr.tensor import Tensor  # noqa: E402
 from svtr.train import train  # noqa: E402
 
 
@@ -81,8 +87,24 @@ def gradcheck_errors() -> str:
     return h.hexdigest()
 
 
+def t_infer() -> str:
+    cfg = PRESETS["svtr-t"]
+    images = np.stack([s.image for s in
+                       gen_dataset(8, Charset(), (1, 16), cfg.input_h, cfg.input_w, seed=7)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ckpt"
+        save_checkpoint(path, SvtrModel(cfg, seed=7))
+        model, _ = restore_model(path, expected_config=cfg)
+    model.eval()
+    h = hashlib.sha256()
+    for batch in (images, *(images[i:i + 1] for i in range(len(images)))):
+        h.update(model.forward(Tensor(batch)).data.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
-    for name, fn in (("c08", c08), ("t-train", t_train), ("gradcheck", gradcheck_errors)):
+    for name, fn in (("c08", c08), ("t-train", t_train), ("gradcheck", gradcheck_errors),
+                     ("t-infer", t_infer)):
         print(name, fn(), flush=True)
     return 0
 

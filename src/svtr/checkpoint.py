@@ -26,6 +26,7 @@ FORMAT_VERSION = 1
 
 @dataclass
 class CheckpointData:
+    """A loaded checkpoint; its arrays are read-only views of the file bytes."""
     config: SvtrConfig
     step: int
     metrics: dict
@@ -97,7 +98,9 @@ def load_checkpoint(path) -> CheckpointData:
     _require(path, header, ("format_version",) + HEADER_KEYS, "header")
     if header["format_version"] != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {header['format_version']}")
-    payload = blob[16 + header_len:]
+    # Tensors are read-only views of the file's bytes: the copy that a
+    # model makes of each array when it is built is the only one.
+    payload = memoryview(blob)[16 + header_len:]
 
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
@@ -109,7 +112,7 @@ def load_checkpoint(path) -> CheckpointData:
                 raise CheckpointError(f"{path}: truncated payload for tensor {rec['name']}")
             if zlib.crc32(raw) != rec["crc32"]:
                 raise CheckpointError(f"{path}: checksum mismatch for tensor {rec['name']}")
-            arr = np.frombuffer(raw, dtype="<f4").reshape(rec["shape"]).astype(np.float32)
+            arr = np.frombuffer(raw, dtype="<f4").reshape(rec["shape"])
             (buffers if rec["kind"] == "buffer" else params)[rec["name"]] = arr
         config = SvtrConfig.from_dict(header["config"])
     except (KeyError, TypeError, ValueError) as exc:

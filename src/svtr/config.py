@@ -21,18 +21,26 @@ _FLOAT_KEYS = {"mlp_ratio", "dropout_rate", "attn_dropout_rate"}
 _LIST_LENGTHS = {"embed_dims": 3, "depths": 3, "heads": 3, "window": 2}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_field(key: str, value):
     """Reject a field value that is invalid on its own; ``SvtrConfig``
     checks how the fields combine."""
     if key in _LIST_LENGTHS:
         if len(value) != _LIST_LENGTHS[key]:
             raise ContractError(f"{key} needs {_LIST_LENGTHS[key]} entries, got {len(value)}")
+        if not all(_is_int(v) for v in value):
+            raise ContractError(f"{key} entries must be integers, got {value}")
         if min(value) < 1:
             raise ContractError(f"{key} entries must be positive, got {value}")
         if key == "window" and (value[0] % 2 == 0 or value[1] % 2 == 0):
             raise ContractError(f"window {value[0]}x{value[1]} must have odd sides")
     elif key in _INT_KEYS:
         low = 2 if key == "charset_size" else 1
+        if not _is_int(value):
+            raise ContractError(f"{key} must be an integer, got {value!r}")
         if value < low:
             raise ContractError(f"{key} must be at least {low}, got {value}")
     elif key == "mlp_ratio":

@@ -141,7 +141,8 @@ class SvtrModel:
                    buffers: dict[str, np.ndarray], dtype=np.float32) -> "SvtrModel":
         """A model holding the given parameters and BatchNorm buffers, built
         without drawing a random initialization; the dropout stream is the
-        one ``SvtrModel(config)`` starts with."""
+        one ``SvtrModel(config)`` starts with.  Every array is copied, so the
+        model shares no memory with the state it was given."""
         model = cls.__new__(cls)
         model._build(config, DEFAULT_SEED, dtype,
                      lambda spec: _state_entry(params, spec.name, spec.shape))

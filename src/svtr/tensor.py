@@ -38,8 +38,9 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         # Python scalars and lists take the f32 storage dtype; float ndarrays
-        # keep theirs (f64 shadow checks).
-        if arr.dtype not in (np.float32, np.float64) or not isinstance(data, np.ndarray):
+        # keep theirs (f64 shadow checks), and so do the numpy scalars that
+        # arithmetic on 0-d arrays returns.
+        if arr.dtype not in (np.float32, np.float64) or not isinstance(data, (np.ndarray, np.floating)):
             arr = arr.astype(np.float32)
         if arr.ndim > 4:
             raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 4")
@@ -280,7 +281,8 @@ def transpose(x: Tensor, axes) -> Tensor:
 
 
 def split(x: Tensor, parts: int, axis: int = -1) -> list:
-    """Split into ``parts`` equal chunks; backward scatters each chunk back."""
+    """Split into ``parts`` equal chunks, as views of ``x``; backward scatters
+    each chunk back."""
     dim = x.shape[axis]
     if dim % parts != 0:
         raise ShapeError(f"cannot split axis of size {dim} into {parts} equal parts")
@@ -299,7 +301,7 @@ def split(x: Tensor, parts: int, axis: int = -1) -> list:
             full[sl] = g
             _accumulate(x, full)
 
-        outs.append(_make(x.data[sl].copy(), (x,), bwd))
+        outs.append(_make(x.data[sl], (x,), bwd))
     return outs
 
 
@@ -339,7 +341,8 @@ def mean_pool_height(x: Tensor) -> Tensor:
 
 # -- linear algebra ---------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b; a 2-D ``b`` may take a ``bias`` added to every output row."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul expects rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -347,16 +350,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.data.ndim == 2:
         # [..., d_in] @ [d_in, d_out] as one 2-D GEMM over the flattened
         # rows, so the weight gradient is one GEMM rather than one per
-        # leading index and a sum over a [b, d_in, d_out] f64 stack.
+        # leading index and a sum over a [b, d_in, d_out] f64 stack.  The
+        # bias is added after the narrowing cast, in the storage dtype, so
+        # no pre-bias product outlives the op.
         d_in, d_out = b.shape
         out_data = (_wide(a.data.reshape(-1, d_in)) @ _wide(b.data)).astype(a.dtype)
+        if bias is not None:
+            out_data = out_data + bias.data
+        parents = (a, b) if bias is None else (a, b, bias)
 
         def bwd(g):
+            if bias is not None and bias.requires_grad:
+                _accumulate(bias, _unbroadcast(g, bias.shape))
             g64 = _wide(g.reshape(-1, d_out))
             _accumulate(a, (g64 @ _wide(b.data).T).reshape(a.shape))
             _accumulate(b, _wide(a.data.reshape(-1, d_in)).T @ g64)
 
-        return _make(out_data.reshape(*a.shape[:-1], d_out), (a, b), bwd)
+        return _make(out_data.reshape(*a.shape[:-1], d_out), parents, bwd)
+    if bias is not None:
+        raise ShapeError(f"matmul takes a bias only with a 2-D right operand, got {b.shape}")
     out_data = np.matmul(_wide(a.data), _wide(b.data)).astype(a.dtype)
 
     def bwd(g):
@@ -370,8 +382,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x[..., d_in] @ w[d_in, d_out] + b."""
-    return add(matmul(x, w), b)
+    """x[..., d_in] @ w[d_in, d_out] + b, as one graph node."""
+    return matmul(x, w, b)
 
 
 # -- convolution ------------------------------------------------------------
@@ -438,10 +450,12 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     mu = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x64 - mu) * inv
-    out_data = (xhat * _wide(gamma.data) + _wide(beta.data)).astype(x.dtype)
+    out_data = ((x64 - mu) * inv * _wide(gamma.data) + _wide(beta.data)).astype(x.dtype)
 
     def bwd(g):
+        # x-hat is rebuilt from the input and the statistics rather than
+        # kept from the forward: the same f64 operations give the same bits.
+        xhat = (_wide(x.data) - mu) * inv
         g64 = _wide(g)
         dxhat = g64 * _wide(gamma.data)
         m1 = dxhat.mean(axis=-1, keepdims=True)
@@ -485,12 +499,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         mu = _wide(state.running_mean)
         var = _wide(state.running_var)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    xhat = (x64 - mu.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    out_data = (xhat * gam + bet).astype(x.dtype)
+    mu = mu.reshape(1, c, 1, 1)
+    inv = (1.0 / np.sqrt(var + NORM_EPS)).reshape(1, c, 1, 1)
+    out_data = ((x64 - mu) * inv * gam + bet).astype(x.dtype)
     n = x.shape[0] * x.shape[2] * x.shape[3]
 
     def bwd(g):
+        # x-hat is rebuilt from the input and the statistics, as in layernorm.
+        xhat = (_wide(x.data) - mu) * inv
         g64 = _wide(g)
         dxhat = g64 * gam
         axes = (0, 2, 3)
@@ -499,9 +515,9 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         if training:
             s1 = dxhat.sum(axis=axes, keepdims=True)
             s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-            gx = inv.reshape(1, c, 1, 1) * (dxhat - s1 / n - xhat * s2 / n)
+            gx = inv * (dxhat - s1 / n - xhat * s2 / n)
         else:
-            gx = dxhat * inv.reshape(1, c, 1, 1)
+            gx = dxhat * inv
         _accumulate(x, gx)
 
     return _make(out_data, (x, gamma, beta), bwd)

@@ -12,6 +12,7 @@ from svtr.audit import count_params
 from svtr.checkpoint import (HEADER_KEYS, MAGIC, RECORD_KEYS, CheckpointData,
                              check_compatible, load_checkpoint, restore_model,
                              save_checkpoint)
+from svtr.cli import main
 from svtr.config import PRESETS
 from svtr.exceptions import (CheckpointError, CompatibilityError, ContractError,
                              ShapeError, SvtrError)
@@ -48,6 +49,18 @@ def test_restore_model_forward_identical(model, tmp_path):
     model.eval()
     restored.eval()
     np.testing.assert_array_equal(model.forward(x).data, restored.forward(x).data)
+
+
+def test_restored_arrays_are_private_and_writable(model, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    restored, data = restore_model(path)
+    for name, p in restored.params.items():
+        assert p.data.flags.writeable
+        assert not np.shares_memory(p.data, data.params[name])
+    for name, buf in restored.named_buffers().items():
+        assert buf.flags.writeable
+        assert not np.shares_memory(buf, data.buffers[name])
 
 
 def test_serialized_param_floats_match_audit(model, tmp_path):
@@ -153,6 +166,35 @@ def test_record_missing_field_is_a_checkpoint_error(model, tmp_path, key):
     _rewrite_header(path, lambda header: header["tensors"][3].pop(key))
     with pytest.raises(CheckpointError, match=key):
         load_checkpoint(path)
+
+
+NON_INT_CONFIGS = [("embed_dims", [8.0, 16.0, 24.0]), ("depths", [1, True, 1]),
+                   ("input_h", 16.0), ("max_label_len", True)]
+
+
+@pytest.mark.parametrize("key,value", NON_INT_CONFIGS)
+def test_non_integer_config_field_is_a_typed_error(model, tmp_path, key, value):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    _rewrite_header(path, lambda header: header["config"].update({key: value}))
+    with pytest.raises(SvtrError, match=key):
+        load_checkpoint(path)
+
+
+def test_eval_of_a_float_embed_dims_checkpoint_is_one_error_line(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    assert main(["gen-data", "--out", str(data_dir), "--n", "2",
+                 "--height", "16", "--width", "64"]) == 0
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, SvtrModel(PRESETS["svtr-micro"], seed=0), step=0)
+    _rewrite_header(path, lambda header: header["config"].update(embed_dims=[8.0, 16.0, 24.0]))
+    capsys.readouterr()
+    code = main(["eval", "--config", "svtr-micro", "--checkpoint", str(path),
+                 "--data", str(data_dir)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "embed_dims" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

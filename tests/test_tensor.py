@@ -18,6 +18,15 @@ def test_tensor_default_dtype_is_f32():
     assert Tensor(np.zeros(3, dtype=np.float64)).dtype == np.float64
 
 
+def test_zero_d_f64_arithmetic_stays_f64():
+    a = Tensor(np.array(2.0), requires_grad=True)
+    assert (a * 3.0).dtype == np.float64
+    assert (a + a).dtype == np.float64
+    assert (a + a).item() == 4.0
+    assert Tensor(np.float64(2.0)).dtype == np.float64
+    assert Tensor(2.0).dtype == np.float32
+
+
 def test_rank_limit():
     with pytest.raises(ShapeError):
         Tensor(np.zeros((1, 1, 1, 1, 1)))
@@ -71,6 +80,25 @@ def test_matmul_weight_grad_is_the_per_sample_sum():
     assert w.grad.dtype == np.float64
     assert np.abs(w.grad - expected).max() <= 1e-12 * np.abs(expected).max()
     np.testing.assert_allclose(x.grad, g @ w.data.T, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_is_one_node_bitwise_equal_to_matmul_then_add(dtype):
+    rng = np.random.default_rng(16)
+    arrays = [rng.normal(size=s).astype(dtype) for s in ((3, 5, 8), (8, 6), (6,))]
+    g = Tensor(rng.normal(size=(3, 5, 6)).astype(dtype))
+    runs = []
+    for fn in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
+        x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = fn(x, w, b)
+        runs.append(out._parents == (x, w, b))
+        T.mul(out, g).sum().backward()
+        runs.append([out.data, x.grad, w.grad, b.grad])
+    one_node, got, _, want = runs
+    assert one_node
+    for a, e in zip(got, want):
+        assert a.dtype == e.dtype == dtype
+        assert a.tobytes() == e.tobytes()
 
 
 def test_conv2d_ones_counting():
@@ -135,6 +163,81 @@ def test_batchnorm_running_stats_update_only_in_training():
     np.testing.assert_array_equal(state.running_mean, before)
     T.batchnorm2d(x, gamma, beta, state, training=True)
     assert not np.array_equal(state.running_mean, before)
+
+
+def _layernorm_keeping_xhat(x, gamma, beta, g):
+    """layernorm forward and backward with x-hat saved from the forward."""
+    x64 = x.astype(np.float64)
+    mu = x64.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x64.var(axis=-1, keepdims=True) + T.NORM_EPS)
+    xhat = (x64 - mu) * inv
+    out = xhat * gamma.astype(np.float64) + beta.astype(np.float64)
+    g64 = g.astype(np.float64)
+    dxhat = g64 * gamma.astype(np.float64)
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    axes = tuple(range(g.ndim - 1))
+    return out, inv * (dxhat - m1 - xhat * m2), (g64 * xhat).sum(axis=axes), g64.sum(axis=axes)
+
+
+def _batchnorm_keeping_xhat(x, gamma, beta, g, mean, var, training):
+    """batchnorm2d forward and backward with x-hat saved from the forward."""
+    c = x.shape[1]
+    x64 = x.astype(np.float64)
+    if training:
+        mean, var = x64.mean(axis=(0, 2, 3)), x64.var(axis=(0, 2, 3))
+    mu = mean.astype(np.float64).reshape(1, c, 1, 1)
+    inv = (1.0 / np.sqrt(var.astype(np.float64) + T.NORM_EPS)).reshape(1, c, 1, 1)
+    gam = gamma.astype(np.float64).reshape(1, c, 1, 1)
+    xhat = (x64 - mu) * inv
+    out = xhat * gam + beta.astype(np.float64).reshape(1, c, 1, 1)
+    g64 = g.astype(np.float64)
+    dxhat = g64 * gam
+    axes = (0, 2, 3)
+    n = x.shape[0] * x.shape[2] * x.shape[3]
+    if training:
+        s1 = dxhat.sum(axis=axes, keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
+        gx = inv * (dxhat - s1 / n - xhat * s2 / n)
+    else:
+        gx = dxhat * inv
+    return out, gx, (g64 * xhat).sum(axis=axes), g64.sum(axis=axes)
+
+
+def _assert_norm_matches(op, reference, arrays, g):
+    """The op's output and x, gamma and beta gradients are bitwise the
+    reference's, once cast to the storage dtype."""
+    dtype = arrays[0].dtype
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    T.mul(out, Tensor(g)).sum().backward()
+    want = reference(*arrays, g)
+    got = [out.data] + [t.grad for t in leaves]
+    for a, e in zip(got, want):
+        assert a.tobytes() == e.astype(dtype).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layernorm_rebuilds_xhat_bitwise(dtype):
+    rng = np.random.default_rng(17)
+    arrays = [rng.normal(size=s).astype(dtype) for s in ((2, 5, 8), (8,), (8,))]
+    g = rng.normal(size=(2, 5, 8)).astype(dtype)
+    _assert_norm_matches(T.layernorm, _layernorm_keeping_xhat, arrays, g)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm2d_rebuilds_xhat_bitwise(dtype, training):
+    rng = np.random.default_rng(18)
+    arrays = [rng.normal(size=s).astype(dtype) for s in ((3, 4, 2, 5), (4,), (4,))]
+    g = rng.normal(size=(3, 4, 2, 5)).astype(dtype)
+    mean = rng.normal(size=4).astype(np.float32)
+    var = rng.uniform(0.5, 2.0, size=4).astype(np.float32)
+    state = BatchNormState(mean.copy(), var.copy())
+    _assert_norm_matches(
+        lambda x, gamma, beta: T.batchnorm2d(x, gamma, beta, state, training),
+        lambda x, gamma, beta, g: _batchnorm_keeping_xhat(x, gamma, beta, g, mean, var, training),
+        arrays, g)
 
 
 def test_softmax_uniform():
@@ -228,6 +331,7 @@ def test_split_partitions_and_backscatters():
     parts = T.split(x, 3, axis=-1)
     assert [p.shape for p in parts] == [(2, 2)] * 3
     np.testing.assert_array_equal(parts[1].data, x.data[:, 2:4])
+    assert all(np.shares_memory(p.data, x.data) for p in parts)
     parts[1].sum().backward()
     expected = np.zeros((2, 6), dtype=np.float32)
     expected[:, 2:4] = 1.0
