@@ -25,6 +25,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_field(key: str, value):
     """Reject a field value that is invalid on its own; ``SvtrConfig``
     checks how the fields combine."""
@@ -43,6 +47,8 @@ def _check_field(key: str, value):
             raise ContractError(f"{key} must be an integer, got {value!r}")
         if value < low:
             raise ContractError(f"{key} must be at least {low}, got {value}")
+    elif key in _FLOAT_KEYS and not _is_number(value):
+        raise ContractError(f"{key} must be a number, got {value!r}")
     elif key == "mlp_ratio":
         if not 0.0 < value < math.inf:
             raise ContractError(f"mlp_ratio must be positive and finite, got {value}")

@@ -184,9 +184,10 @@ def ctc_loss(log_probs: Tensor, labels: list[LabelSeq]) -> Tensor:
     for loss_i in losses.tolist():
         total += loss_i
     mean_loss = np.asarray(total / b, dtype=log_probs.dtype)
+    node = log_probs._node
 
     def bwd(g):
-        _accumulate(log_probs, float(g.reshape(-1)[0]) / b * grads)
+        _accumulate(node, float(g.reshape(-1)[0]) / b * grads)
 
     return _make(mean_loss, (log_probs,), bwd)
 

@@ -134,7 +134,9 @@ class SvtrModel:
 
     def __init__(self, config: SvtrConfig, seed: int = DEFAULT_SEED, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        self._build(config, seed, dtype, lambda spec: _INITS[spec.init](rng, spec.shape))
+        # The initializers return fresh f32 arrays; an f32 model takes them as is.
+        self._build(config, seed, dtype,
+                    lambda spec: _INITS[spec.init](rng, spec.shape).astype(dtype, copy=False))
 
     @classmethod
     def from_state(cls, config: SvtrConfig, params: dict[str, np.ndarray],
@@ -145,7 +147,7 @@ class SvtrModel:
         model shares no memory with the state it was given."""
         model = cls.__new__(cls)
         model._build(config, DEFAULT_SEED, dtype,
-                     lambda spec: _state_entry(params, spec.name, spec.shape))
+                     lambda spec: _state_entry(params, spec.name, spec.shape).astype(dtype))
         for name, st in model.bn_states.items():
             shape = st.running_mean.shape
             st.running_mean = _state_entry(buffers, name + ".running_mean", shape).astype(np.float32)
@@ -153,10 +155,12 @@ class SvtrModel:
         return model
 
     def _build(self, config: SvtrConfig, seed: int, dtype, init):
+        """``init(spec)`` gives each parameter's array, in ``dtype`` and owned
+        by the model."""
         self.config = config
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {
-            spec.name: Tensor(init(spec).astype(dtype), requires_grad=True)
+            spec.name: Tensor(init(spec), requires_grad=True)
             for spec in parameter_spec(config)}
         d0 = config.embed_dims[0]
         self.bn_states = {

@@ -3,10 +3,20 @@
 Values are stored in f32 by default (f64 is supported for shadow gradient
 checks); reductions such as matmul inner products and normalization
 statistics accumulate in f64 before being cast back to the storage dtype.
-The computation graph is recorded implicitly: every op builds its output
-through ``_make``, which attaches the parents and the backward rule, and
-``backward`` replays the rules in reverse execution order (creation order),
-which makes gradient accumulation deterministic.  ``backward`` frees the
+
+A ``Tensor`` is a value: its ``data`` and, when it requires grad, a
+``_Node``, the graph vertex, which holds the gradient, the nodes of the op's
+inputs and the backward rule but no forward array.  Every op builds its
+output through ``_make``, which links the new node to the nodes of the
+inputs that require grad.  A rule closes over those nodes, the shapes it
+needs and exactly the arrays it reads: ``matmul`` both operands, ``conv2d``
+the im2col columns and the weight, ``layernorm``, ``batchnorm2d`` and
+``gelu`` their input, ``mul`` the operand whose partner requires grad,
+``softmax`` and ``log_softmax`` their f64 output, ``dropout`` its mask, and
+every other op no input array.  So an intermediate's values are freed as
+soon as their last reader is done with them, not when backward ends.
+``backward`` replays the rules in reverse execution order (node creation
+order), which makes gradient accumulation deterministic, and frees the
 graph as it goes, so each forward supports one backward.
 """
 
@@ -30,10 +40,24 @@ NORM_EPS = 1e-5
 BN_MOMENTUM = 0.9
 
 
+class _Node:
+    """The graph vertex of a tensor that requires grad: its gradient, the
+    nodes of its op's inputs and its backward rule (none on a leaf)."""
+
+    __slots__ = ("grad", "dtype", "_parents", "_backward_fn", "_id")
+
+    def __init__(self, dtype, parents: tuple = (), backward_fn=None):
+        self.grad: np.ndarray | None = None
+        self.dtype = dtype
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self._id = next(_ids)
+
+
 class Tensor:
     """A dense n-dimensional array (rank 0..4) with an optional gradient."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_id")
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -45,12 +69,8 @@ class Tensor:
         if arr.ndim > 4:
             raise ShapeError(f"rank {arr.ndim} exceeds the supported maximum of 4")
         self.data = arr
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-        # Set only by ``_make``, on the output of an op.
-        self._parents: tuple = ()
-        self._backward_fn = None
-        self._id = next(_ids)
+        # Set by ``_make`` on the output of an op whose input requires grad.
+        self._node = _Node(arr.dtype) if requires_grad else None
 
     # -- basic properties ---------------------------------------------------
 
@@ -74,6 +94,36 @@ class Tensor:
 
     # -- graph --------------------------------------------------------------
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        self._require_node("assign .grad to").grad = value
+
+    @property
+    def _parents(self) -> tuple:
+        """The nodes of the op's inputs that require grad."""
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._require_node("set a backward rule on")._backward_fn = fn
+
+    def _require_node(self, action: str) -> _Node:
+        if self._node is None:
+            raise ContractError(f"cannot {action} a tensor that does not require grad")
+        return self._node
+
     def backward(self):
         """Populate ``grad`` on every requires_grad leaf reachable from this scalar.
 
@@ -85,10 +135,11 @@ class Tensor:
         """
         if self.size != 1:
             raise ContractError(f"backward requires a scalar loss, got shape {self.shape}")
+        root = self._require_node("run backward from")
         # Creation ids are monotone in execution, so popping from the end
         # visits nodes in reverse execution order.
-        nodes = sorted(_reachable(self), key=lambda t: t._id)
-        self.grad = np.ones_like(self.data)
+        nodes = sorted(_reachable(root), key=lambda n: n._id)
+        root.grad = np.ones_like(self.data)
         while nodes:
             node = nodes.pop()
             if node._backward_fn is not None and node.grad is not None:
@@ -135,7 +186,7 @@ def _as_tensor(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _reachable(root: Tensor) -> list:
+def _reachable(root: _Node) -> list:
     seen = set()
     out = []
     stack = [root]
@@ -154,20 +205,21 @@ def _released(g):
                         "already released; run the forward again")
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
+def _accumulate(node: _Node | None, g: np.ndarray):
+    """Add ``g`` to the gradient of ``node``; None (no grad) ignores it."""
+    if node is None:
         return
-    if t.grad is None:
+    if node.grad is None:
         # C order, because the layout of a transposed gradient would change
         # the BLAS rounding of later GEMMs.  An interior node takes a fresh
         # C-ordered array as is (no rule writes into a gradient in place); a
         # leaf keeps a private copy, so no two parameters share a ``grad``.
-        if t._parents:
-            t.grad = np.asarray(g, dtype=t.dtype, order="C")
+        if node._parents:
+            node.grad = np.asarray(g, dtype=node.dtype, order="C")
         else:
-            t.grad = g.astype(t.dtype, order="C")
+            node.grad = g.astype(node.dtype, order="C")
     else:
-        t.grad = t.grad + g.astype(t.dtype, copy=False)
+        node.grad = node.grad + g.astype(node.dtype, copy=False)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -181,12 +233,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _make(data, parents, backward_fn) -> Tensor:
-    """The output of an op: a graph node when any parent requires grad."""
+    """The output of an op, with a node linked to the nodes of the parents
+    that require grad, when there are any."""
     out = Tensor(data)
-    if any(t.requires_grad for t in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    nodes = tuple(t._node for t in parents if t._node is not None)
+    if nodes:
+        out._node = _Node(out.data.dtype, nodes, backward_fn)
     return out
 
 
@@ -199,26 +251,32 @@ def _wide(a: np.ndarray) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data + b.data
+    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+        if an is not None:
+            _accumulate(an, _unbroadcast(g, a_shape))
+        if bn is not None:
+            _accumulate(bn, _unbroadcast(g, b_shape))
 
     return _make(out_data, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data * b.data
+    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    # Each gradient reads the other operand, so an operand is kept only when
+    # its partner requires grad (not the attention scores, scaled by a
+    # constant).  A constant gets no gradient: it would cost a full-size
+    # product and a reduction only to be dropped.
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def bwd(g):
-        # A constant operand (the attention scale) gets no gradient: it would
-        # cost a full-size product and a reduction only to be dropped.
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if an is not None:
+            _accumulate(an, _unbroadcast(g * b_data, a_shape))
+        if bn is not None:
+            _accumulate(bn, _unbroadcast(g * a_data, b_shape))
 
     return _make(out_data, (a, b), bwd)
 
@@ -228,10 +286,11 @@ def gelu(x: Tensor) -> Tensor:
     xd = x.data
     e = erf(xd * _INV_SQRT2).astype(xd.dtype)
     out_data = 0.5 * xd * (1.0 + e)
+    xn = x._node
 
     def bwd(g):
         d = 0.5 * (1.0 + e) + xd * np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        _accumulate(x, g * d.astype(xd.dtype))
+        _accumulate(xn, g * d.astype(xd.dtype))
 
     return _make(out_data, (x,), bwd)
 
@@ -248,9 +307,10 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     keep = rng.random(x.shape) >= rate
     scale = x.dtype.type(1.0 / (1.0 - rate))
     out_data = x.data * (keep.astype(x.dtype) * scale)
+    xn = x._node
 
     def bwd(g):
-        _accumulate(x, g * (keep.astype(x.dtype) * scale))
+        _accumulate(xn, g * (keep.astype(xn.dtype) * scale))
 
     return _make(out_data, (x,), bwd)
 
@@ -258,11 +318,11 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
 # -- shape ops --------------------------------------------------------------
 
 def reshape(x: Tensor, shape) -> Tensor:
-    orig = x.shape
+    orig, xn = x.shape, x._node
     out_data = x.data.reshape(shape)
 
     def bwd(g):
-        _accumulate(x, g.reshape(orig))
+        _accumulate(xn, g.reshape(orig))
 
     return _make(out_data, (x,), bwd)
 
@@ -271,11 +331,11 @@ def transpose(x: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise ShapeError(f"transpose axes {axes} invalid for rank {x.data.ndim}")
-    inv = tuple(np.argsort(axes))
+    inv, xn = tuple(np.argsort(axes)), x._node
     out_data = x.data.transpose(axes)
 
     def bwd(g):
-        _accumulate(x, g.transpose(inv))
+        _accumulate(xn, g.transpose(inv))
 
     return _make(out_data, (x,), bwd)
 
@@ -288,6 +348,7 @@ def split(x: Tensor, parts: int, axis: int = -1) -> list:
         raise ShapeError(f"cannot split axis of size {dim} into {parts} equal parts")
     step = dim // parts
     ax = axis % x.data.ndim
+    x_shape, xn = x.shape, x._node
     outs = []
     for i in range(parts):
         sl = [slice(None)] * x.data.ndim
@@ -297,9 +358,9 @@ def split(x: Tensor, parts: int, axis: int = -1) -> list:
         def bwd(g, sl=sl):
             # C order even when x is a transposed view (the qkv heads):
             # a buffer in x's layout makes the scatter and the sum slow.
-            full = np.zeros(x.shape, x.dtype)
+            full = np.zeros(x_shape, xn.dtype)
             full[sl] = g
-            _accumulate(x, full)
+            _accumulate(xn, full)
 
         outs.append(_make(x.data[sl], (x,), bwd))
     return outs
@@ -309,9 +370,10 @@ def split(x: Tensor, parts: int, axis: int = -1) -> list:
 
 def tsum(x: Tensor) -> Tensor:
     out_data = np.asarray(_wide(x.data).sum(), dtype=x.dtype)
+    x_shape, xn = x.shape, x._node
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(g, x.shape))
+        _accumulate(xn, np.broadcast_to(g, x_shape))
 
     return _make(out_data, (x,), bwd)
 
@@ -319,9 +381,10 @@ def tsum(x: Tensor) -> Tensor:
 def tmean(x: Tensor) -> Tensor:
     n = x.size
     out_data = np.asarray(_wide(x.data).sum() / n, dtype=x.dtype)
+    x_shape, xn = x.shape, x._node
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(g / n, x.shape))
+        _accumulate(xn, np.broadcast_to(g / n, x_shape))
 
     return _make(out_data, (x,), bwd)
 
@@ -332,9 +395,10 @@ def mean_pool_height(x: Tensor) -> Tensor:
         raise ShapeError(f"mean_pool_height expects rank 4, got shape {x.shape}")
     h = x.shape[2]
     out_data = (_wide(x.data).mean(axis=2, keepdims=True)).astype(x.dtype)
+    x_shape, xn = x.shape, x._node
 
     def bwd(g):
-        _accumulate(x, np.broadcast_to(g / h, x.shape))
+        _accumulate(xn, np.broadcast_to(g / h, x_shape))
 
     return _make(out_data, (x,), bwd)
 
@@ -347,6 +411,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul expects rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+    a_data, b_data, a_shape, b_shape = a.data, b.data, a.shape, b.shape
+    an, bn = a._node, b._node
     if b.data.ndim == 2:
         # [..., d_in] @ [d_in, d_out] as one 2-D GEMM over the flattened
         # rows, so the weight gradient is one GEMM rather than one per
@@ -358,13 +424,14 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         if bias is not None:
             out_data = out_data + bias.data
         parents = (a, b) if bias is None else (a, b, bias)
+        bias_node, bias_shape = (None, None) if bias is None else (bias._node, bias.shape)
 
         def bwd(g):
-            if bias is not None and bias.requires_grad:
-                _accumulate(bias, _unbroadcast(g, bias.shape))
+            if bias_node is not None:
+                _accumulate(bias_node, _unbroadcast(g, bias_shape))
             g64 = _wide(g.reshape(-1, d_out))
-            _accumulate(a, (g64 @ _wide(b.data).T).reshape(a.shape))
-            _accumulate(b, _wide(a.data.reshape(-1, d_in)).T @ g64)
+            _accumulate(an, (g64 @ _wide(b_data).T).reshape(a_shape))
+            _accumulate(bn, _wide(a_data.reshape(-1, d_in)).T @ g64)
 
         return _make(out_data.reshape(*a.shape[:-1], d_out), parents, bwd)
     if bias is not None:
@@ -373,10 +440,10 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 
     def bwd(g):
         g64 = _wide(g)
-        ga = np.matmul(g64, _wide(b.data).swapaxes(-1, -2))
-        gb = np.matmul(_wide(a.data).swapaxes(-1, -2), g64)
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
+        ga = np.matmul(g64, _wide(b_data).swapaxes(-1, -2))
+        gb = np.matmul(_wide(a_data).swapaxes(-1, -2), g64)
+        _accumulate(an, _unbroadcast(ga, a_shape))
+        _accumulate(bn, _unbroadcast(gb, b_shape))
 
     return _make(out_data, (a, b), bwd)
 
@@ -420,22 +487,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     wf = weight.data.reshape(co, ci * kh * kw)
     out_data = np.matmul(_wide(wf), _wide(cols)).astype(x.dtype)     # [b, co, oh*ow]
     out_data = out_data.reshape(b, co, oh, ow) + bias.data.reshape(1, co, 1, 1)
+    # The padded input is not kept: its gradient needs only its shape.
+    xp_shape, xn, wn, bn = xp.shape, x._node, weight._node, bias._node
 
     def bwd(g):
         gf = _wide(g.reshape(b, co, oh * ow))
         # b GEMMs and a sum over b: an einsum here never reaches BLAS.
-        gw = np.matmul(gf, _wide(cols).swapaxes(1, 2)).sum(axis=0).reshape(weight.shape)
-        _accumulate(weight, gw)
-        _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        gw = np.matmul(gf, _wide(cols).swapaxes(1, 2)).sum(axis=0).reshape(co, ci, kh, kw)
+        _accumulate(wn, gw)
+        _accumulate(bn, g.sum(axis=(0, 2, 3)))
         gcols = np.matmul(_wide(wf).T, gf)                           # [b, ci*kh*kw, oh*ow]
         gcols = gcols.reshape(b, ci, kh, kw, oh, ow)
-        gxp = np.zeros(xp.shape)
+        gxp = np.zeros(xp_shape)
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
         if ph or pw:
             gxp = gxp[:, :, ph:ph + h, pw:pw + w]
-        _accumulate(x, gxp)
+        _accumulate(xn, gxp)
 
     return _make(out_data, (x, weight, bias), bwd)
 
@@ -446,24 +515,26 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layernorm affine shape {gamma.shape}/{beta.shape} does not match last dim {d}")
-    x64 = _wide(x.data)
+    xd, gd = x.data, gamma.data
+    x64 = _wide(xd)
     mu = x64.mean(axis=-1, keepdims=True)
     var = x64.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    out_data = ((x64 - mu) * inv * _wide(gamma.data) + _wide(beta.data)).astype(x.dtype)
+    out_data = ((x64 - mu) * inv * _wide(gd) + _wide(beta.data)).astype(x.dtype)
+    xn, gn, bn = x._node, gamma._node, beta._node
 
     def bwd(g):
         # x-hat is rebuilt from the input and the statistics rather than
         # kept from the forward: the same f64 operations give the same bits.
-        xhat = (_wide(x.data) - mu) * inv
+        xhat = (_wide(xd) - mu) * inv
         g64 = _wide(g)
-        dxhat = g64 * _wide(gamma.data)
+        dxhat = g64 * _wide(gd)
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * (dxhat - m1 - xhat * m2))
+        _accumulate(xn, inv * (dxhat - m1 - xhat * m2))
         axes = tuple(range(g64.ndim - 1))
-        _accumulate(gamma, (g64 * xhat).sum(axis=axes))
-        _accumulate(beta, g64.sum(axis=axes))
+        _accumulate(gn, (g64 * xhat).sum(axis=axes))
+        _accumulate(bn, g64.sum(axis=axes))
 
     return _make(out_data, (x, gamma, beta), bwd)
 
@@ -487,7 +558,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d affine shape {gamma.shape}/{beta.shape} does not match channels {c}")
-    x64 = _wide(x.data)
+    xd = x.data
+    x64 = _wide(xd)
     gam = _wide(gamma.data).reshape(1, c, 1, 1)
     bet = _wide(beta.data).reshape(1, c, 1, 1)
     if training:
@@ -503,22 +575,23 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     inv = (1.0 / np.sqrt(var + NORM_EPS)).reshape(1, c, 1, 1)
     out_data = ((x64 - mu) * inv * gam + bet).astype(x.dtype)
     n = x.shape[0] * x.shape[2] * x.shape[3]
+    xn, gn, bn = x._node, gamma._node, beta._node
 
     def bwd(g):
         # x-hat is rebuilt from the input and the statistics, as in layernorm.
-        xhat = (_wide(x.data) - mu) * inv
+        xhat = (_wide(xd) - mu) * inv
         g64 = _wide(g)
         dxhat = g64 * gam
         axes = (0, 2, 3)
-        _accumulate(gamma, (g64 * xhat).sum(axis=axes))
-        _accumulate(beta, g64.sum(axis=axes))
+        _accumulate(gn, (g64 * xhat).sum(axis=axes))
+        _accumulate(bn, g64.sum(axis=axes))
         if training:
             s1 = dxhat.sum(axis=axes, keepdims=True)
             s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
             gx = inv * (dxhat - s1 / n - xhat * s2 / n)
         else:
             gx = dxhat * inv
-        _accumulate(x, gx)
+        _accumulate(xn, gx)
 
     return _make(out_data, (x, gamma, beta), bwd)
 
@@ -539,10 +612,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y64 = e / e.sum(axis=ax, keepdims=True)
     out_data = y64.astype(x.dtype)
+    xn = x._node
 
     def bwd(g):
         g64 = _wide(g)
-        _accumulate(x, y64 * (g64 - (g64 * y64).sum(axis=ax, keepdims=True)))
+        _accumulate(xn, y64 * (g64 - (g64 * y64).sum(axis=ax, keepdims=True)))
 
     return _make(out_data, (x,), bwd)
 
@@ -554,10 +628,11 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
     out64 = shifted - lse
     out_data = out64.astype(x.dtype)
+    xn = x._node
 
     def bwd(g):
         g64 = _wide(g)
-        _accumulate(x, g64 - np.exp(out64) * g64.sum(axis=ax, keepdims=True))
+        _accumulate(xn, g64 - np.exp(out64) * g64.sum(axis=ax, keepdims=True))
 
     return _make(out_data, (x,), bwd)
 
@@ -572,8 +647,9 @@ def apply_attention_mask(scores: Tensor, mask: np.ndarray) -> Tensor:
     if mask.shape != scores.shape[-2:]:
         raise ShapeError(f"mask shape {mask.shape} does not match scores {scores.shape}")
     out_data = np.where(mask, scores.data, np.array(-np.inf, dtype=scores.dtype))
+    sn = scores._node
 
     def bwd(g):
-        _accumulate(scores, np.where(mask, g, 0.0))
+        _accumulate(sn, np.where(mask, g, 0.0))
 
     return _make(out_data, (scores,), bwd)

@@ -181,20 +181,33 @@ def test_non_integer_config_field_is_a_typed_error(model, tmp_path, key, value):
         load_checkpoint(path)
 
 
-def test_eval_of_a_float_embed_dims_checkpoint_is_one_error_line(tmp_path, capsys):
+def _eval_with_config_field(tmp_path, capsys, key, value) -> str:
+    """Standard error of ``svtr eval`` on a checkpoint whose header config
+    sets ``key`` to ``value``; the command must fail with exit code 1."""
     data_dir = tmp_path / "data"
     assert main(["gen-data", "--out", str(data_dir), "--n", "2",
                  "--height", "16", "--width", "64"]) == 0
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, SvtrModel(PRESETS["svtr-micro"], seed=0), step=0)
-    _rewrite_header(path, lambda header: header["config"].update(embed_dims=[8.0, 16.0, 24.0]))
+    _rewrite_header(path, lambda header: header["config"].update({key: value}))
     capsys.readouterr()
     code = main(["eval", "--config", "svtr-micro", "--checkpoint", str(path),
                  "--data", str(data_dir)])
-    err = capsys.readouterr().err
     assert code == 1
+    return capsys.readouterr().err
+
+
+def test_eval_of_a_float_embed_dims_checkpoint_is_one_error_line(tmp_path, capsys):
+    err = _eval_with_config_field(tmp_path, capsys, "embed_dims", [8.0, 16.0, 24.0])
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "embed_dims" in err and "Traceback" not in err
+
+
+def test_eval_of_a_bool_mlp_ratio_checkpoint_is_one_error_line(tmp_path, capsys):
+    err = _eval_with_config_field(tmp_path, capsys, "mlp_ratio", True)
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    # Refused when the checkpoint loads, before any comparison with --config.
+    assert "mlp_ratio must be a number" in err and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")

@@ -109,7 +109,8 @@ def test_parse_names_the_source_of_a_combined_error():
     dict(attn_dropout_rate=-0.1), dict(window=(3,)), dict(heads=(0, 4, 8)),
     dict(combined_dim=0), dict(max_label_len=-1), dict(embed_dims=(64.0, 128.0, 256.0)),
     dict(heads=(2, True, 8)), dict(window=(7.0, 11)), dict(input_w=128.0),
-    dict(charset_size=True)])
+    dict(charset_size=True), dict(mlp_ratio=True), dict(dropout_rate=False),
+    dict(attn_dropout_rate=True), dict(mlp_ratio="4"), dict(dropout_rate=None)])
 def test_config_rejects_bad_values(field):
     with pytest.raises(ContractError):
         dataclasses.replace(PRESETS["svtr-t"], **field)

@@ -2,10 +2,12 @@
 residual identities, local/global saturation, and attention export."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
 
+from svtr import tensor as T
 from svtr.config import PRESETS, SvtrConfig
 from svtr.exceptions import ContractError, GeometryError
 from svtr.gradcheck import micro_config
@@ -53,6 +55,33 @@ def test_construction_is_deterministic():
         np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
     c = SvtrModel(micro_config(), seed=4)
     assert any(not np.array_equal(a.params[n].data, c.params[n].data) for n in a.params)
+
+
+def test_f64_initial_values_are_the_f32_ones_widened():
+    narrow = SvtrModel(PRESETS["svtr-micro"], seed=3)
+    wide = SvtrModel(PRESETS["svtr-micro"], seed=3, dtype=np.float64)
+    for name, p in narrow.params.items():
+        assert p.dtype == np.float32 and wide.params[name].dtype == np.float64
+        np.testing.assert_array_equal(wide.params[name].data, p.data.astype(np.float64))
+
+
+def test_train_forward_frees_the_scaled_attention_scores(monkeypatch):
+    config = PRESETS["svtr-micro"]
+    model = SvtrModel(config, seed=0).train()
+    mul, watched = T.mul, []
+
+    def watching_mul(a, b):
+        out = mul(a, b)
+        watched.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "mul", watching_mul)
+    images = np.random.default_rng(0).uniform(size=(2, 3, config.input_h, config.input_w))
+    logits = model.forward(images)
+    assert logits.requires_grad
+    # One scale per mixing block, and no rule keeps the scaled scores.
+    assert len(watched) == sum(config.depths)
+    assert all(ref() is None for ref in watched)
 
 
 def test_eval_forward_deterministic():

@@ -91,7 +91,7 @@ def test_linear_is_one_node_bitwise_equal_to_matmul_then_add(dtype):
     for fn in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
         x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
         out = fn(x, w, b)
-        runs.append(out._parents == (x, w, b))
+        runs.append(out._parents == (x._node, w._node, b._node))
         T.mul(out, g).sum().backward()
         runs.append([out.data, x.grad, w.grad, b.grad])
     one_node, got, _, want = runs
@@ -382,6 +382,69 @@ def test_second_backward_through_a_released_graph_raises():
     y.backward()
     with pytest.raises(ContractError):
         y.backward()
+
+
+def test_backward_and_grad_need_a_tensor_that_requires_grad():
+    y = T.tsum(Tensor(np.ones(3)))
+    with pytest.raises(ContractError):
+        y.backward()
+    assert y.grad is None
+    with pytest.raises(ContractError):
+        Tensor(np.ones(2)).grad = np.zeros(2)
+
+
+def _param(*shape):
+    return Tensor(np.random.default_rng(19).normal(size=shape).astype(np.float32),
+                  requires_grad=True)
+
+
+# Ops whose rule reads none of the input's values and whose output is a
+# fresh array, on an [2, 3, 4, 4] input.
+_INPUT_UNREAD = {
+    "add": lambda x: T.add(x, _param(4)),
+    "mul_by_constant": lambda x: x * 0.5,
+    "dropout": lambda x: T.dropout(x, 0.5, True, np.random.default_rng(0)),
+    "softmax": lambda x: T.softmax(x, axis=-1),
+    "log_softmax": lambda x: T.log_softmax(x, axis=-1),
+    "apply_attention_mask": lambda x: T.apply_attention_mask(x, np.eye(4, dtype=bool)),
+    "conv2d": lambda x: T.conv2d(x, _param(2, 3, 3, 3), _param(2), padding=(1, 1)),
+    "tsum": T.tsum,
+    "tmean": T.tmean,
+    "mean_pool_height": T.mean_pool_height,
+}
+
+_INPUT_READ = {
+    "matmul": lambda x: T.matmul(x, _param(4, 5)),
+    "gelu": T.gelu,
+    "layernorm": lambda x: T.layernorm(x, _param(4), _param(4)),
+}
+
+
+def _watched_intermediate_and_loss(op):
+    """A loss through ``op`` applied to an intermediate, and a weak
+    reference to the intermediate's values once no name holds them."""
+    leaf = _param(2, 3, 4, 4)
+    x = T.gelu(leaf)  # gelu's rule reads its input, not its output
+    watched = weakref.ref(x.data)
+    loss = T.tsum(op(x))
+    return leaf, watched, loss
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_UNREAD))
+def test_an_input_no_rule_reads_is_freed_before_backward(name):
+    leaf, watched, loss = _watched_intermediate_and_loss(_INPUT_UNREAD[name])
+    assert watched() is None
+    loss.backward()
+    assert leaf.grad is not None
+
+
+@pytest.mark.parametrize("name", sorted(_INPUT_READ))
+def test_an_input_a_rule_reads_lives_until_backward(name):
+    leaf, watched, loss = _watched_intermediate_and_loss(_INPUT_READ[name])
+    assert watched() is not None
+    loss.backward()
+    assert watched() is None
+    assert leaf.grad is not None
 
 
 def test_ctc_loss_accumulates_into_a_leaf_across_graphs():
