@@ -81,7 +81,7 @@ def count_flops(config: SvtrConfig, input_h: int | None = None,
     for stage in range(3):
         h, w, d = geometry[stage]
         n = h * w
-        hidden = int(round(config.mlp_ratio * d))
+        hidden = config.mlp_dims[stage]
         depth = config.depths[stage]
         prefix = f"stage{stage + 1}"
         entries.append(FlopEntry(f"{prefix}.attn.qkv", depth * n * d * 3 * d, False))

@@ -20,7 +20,7 @@ from .checkpoint import check_compatible, load_checkpoint, restore_model
 from .config import PRESETS, load_config
 from .ctc import Charset, greedy_decode
 from .data import RenderStyle, gen_dataset, load_dataset, load_image, save_dataset, write_pnm
-from .exceptions import SvtrError
+from .exceptions import ContractError, SvtrError
 from .model import SvtrModel, export_attention
 from .train import CLIP_NORM, WARMUP_EPOCHS, evaluate, train
 
@@ -170,6 +170,8 @@ def cmd_infer(args):
 def _query_for_char(model, charset, image, char: str, stage: int) -> int:
     """Map a character to a query index: the grid cell at the stage's centre
     row in the column where greedy decoding first emits that character."""
+    if len(char) != 1:
+        raise ContractError(f"--char takes one character, got {char!r}")
     logits = model.forward(image[None])
     path = np.argmax(logits.data[0], axis=-1)
     target = charset.encode(char).indices[0]
@@ -286,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", required=True)
-    p.add_argument("--stage", type=int, required=True)
+    p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--block", type=int, required=True)
     p.add_argument("--head", type=int, help="default: all heads of the stage")
     p.add_argument("--query", type=int)
@@ -306,7 +308,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SvtrError, OSError, IndexError) as exc:
+    except (SvtrError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -93,6 +93,10 @@ class SvtrConfig:
         if len(self.permutation) != sum(self.depths):
             raise ContractError(
                 f"permutation length {len(self.permutation)} != total depth {sum(self.depths)}")
+        if not math.isfinite(self.mlp_ratio * max(self.embed_dims)) or min(self.mlp_dims) < 1:
+            raise ContractError(
+                f"mlp_ratio {self.mlp_ratio} must give each of embed dims {self.embed_dims} "
+                "an MLP width (the rounded product) that is finite and at least 1")
         for d, h in zip(self.embed_dims, self.heads):
             if d % h != 0:
                 raise ContractError(f"embed dim {d} not divisible by head count {h}")
@@ -117,6 +121,11 @@ class SvtrConfig:
             geo.append((h, w, dim))
             h = (h + 1) // 2
         return geo
+
+    @property
+    def mlp_dims(self) -> tuple[int, ...]:
+        """Per-stage MLP hidden width: mlp_ratio times the embed dim, rounded."""
+        return tuple(int(round(self.mlp_ratio * d)) for d in self.embed_dims)
 
     def stage_permutation(self, stage: int) -> tuple[str, ...]:
         """Block kinds for one stage (0-based), sliced from the global list."""

@@ -53,9 +53,17 @@ class Charset:
 
     @classmethod
     def from_file(cls, path) -> "Charset":
-        with open(path, "r", encoding="utf-8") as fh:
-            symbols = "".join(line.rstrip("\n") for line in fh if line.rstrip("\n"))
-        return cls(symbols)
+        """One symbol per line of UTF-8 text; blank lines are skipped."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ContractError(f"{path}: not UTF-8 text ({exc})") from None
+        for lineno, symbol in enumerate(lines, start=1):
+            if len(symbol) > 1:
+                raise ContractError(
+                    f"{path}:{lineno}: a charset line holds one symbol, got {symbol!r}")
+        return cls("".join(lines))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def parameter_spec(config: SvtrConfig) -> list[ParamSpec]:
                   "trunc_normal"),
     ]
     for stage, dim in enumerate(config.embed_dims):
-        hidden = int(round(config.mlp_ratio * dim))
+        hidden = config.mlp_dims[stage]
         for block in range(config.depths[stage]):
             p = f"stage{stage + 1}.block{block}."
             specs += _affine(p + "norm1", dim)
@@ -197,7 +197,7 @@ class SvtrModel:
     def _drop(self, x: Tensor, rate: float) -> Tensor:
         if rate == 0.0 or not self.training:
             return x
-        return T.dropout(x, rate, self.training, self._dropout_rng())
+        return T.dropout(x, rate, self._dropout_rng())
 
     # -- state access -------------------------------------------------------
 
@@ -223,12 +223,12 @@ class SvtrModel:
     def patch_embed(self, images: Tensor) -> Tensor:
         p = self.params
         x = T.conv2d(images, p["embed.conv1.weight"], p["embed.conv1.bias"],
-                     stride=(2, 2), padding=(1, 1))
+                     stride=(2, 2))
         x = T.batchnorm2d(x, p["embed.bn1.gamma"], p["embed.bn1.beta"],
                           self.bn_states["embed.bn1"], self.training)
         x = T.gelu(x)
         x = T.conv2d(x, p["embed.conv2.weight"], p["embed.conv2.bias"],
-                     stride=(2, 2), padding=(1, 1))
+                     stride=(2, 2))
         x = T.batchnorm2d(x, p["embed.bn2.gamma"], p["embed.bn2.beta"],
                           self.bn_states["embed.bn2"], self.training)
         x = T.gelu(x)
@@ -243,11 +243,9 @@ class SvtrModel:
         cfg = self.config
         b, n, d = x.shape
         dh = d // heads
-        if mask is not None and mask.shape != (n, n):
-            raise ShapeError(f"mask shape {mask.shape} does not match sequence length {n}")
 
         h = T.layernorm(x, p[prefix + "norm1.gamma"], p[prefix + "norm1.beta"])
-        qkv = T.linear(h, p[prefix + "attn.qkv.weight"], p[prefix + "attn.qkv.bias"])
+        qkv = T.matmul(h, p[prefix + "attn.qkv.weight"], p[prefix + "attn.qkv.bias"])
         # q, k and v are the three column blocks of qkv; head i of each is
         # columns i*dh:(i+1)*dh of its block.
         qkv = T.transpose(T.reshape(qkv, (b, n, 3 * heads, dh)), (0, 2, 1, 3))
@@ -255,19 +253,19 @@ class SvtrModel:
         scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
         if mask is not None:
             scores = T.apply_attention_mask(scores, mask)
-        attn = T.softmax(scores, axis=-1)
+        attn = T.softmax(scores)
         if capture_key is not None:
             self.attention_maps[capture_key] = attn.data.copy()
         attn = self._drop(attn, cfg.attn_dropout_rate)
         out = T.matmul(attn, v)                                   # [b, heads, n, dh]
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, n, d))
-        out = T.linear(out, p[prefix + "attn.proj.weight"], p[prefix + "attn.proj.bias"])
+        out = T.matmul(out, p[prefix + "attn.proj.weight"], p[prefix + "attn.proj.bias"])
         x = x + out
 
         h = T.layernorm(x, p[prefix + "norm2.gamma"], p[prefix + "norm2.beta"])
-        m = T.linear(h, p[prefix + "mlp.fc1.weight"], p[prefix + "mlp.fc1.bias"])
+        m = T.matmul(h, p[prefix + "mlp.fc1.weight"], p[prefix + "mlp.fc1.bias"])
         m = self._drop(T.gelu(m), cfg.dropout_rate)
-        m = T.linear(m, p[prefix + "mlp.fc2.weight"], p[prefix + "mlp.fc2.bias"])
+        m = T.matmul(m, p[prefix + "mlp.fc2.weight"], p[prefix + "mlp.fc2.bias"])
         m = self._drop(m, cfg.dropout_rate)
         return x + m
 
@@ -281,7 +279,7 @@ class SvtrModel:
         d_out = p[prefix + "conv.weight"].shape[0]
         x = T.transpose(T.reshape(x, (b, h, w, d_in)), (0, 3, 1, 2))
         x = T.conv2d(x, p[prefix + "conv.weight"], p[prefix + "conv.bias"],
-                     stride=(2, 1), padding=(1, 1))
+                     stride=(2, 1))
         x = T.reshape(T.transpose(x, (0, 2, 3, 1)), (b, (h // 2) * w, d_out))
         return T.layernorm(x, p[prefix + "norm.gamma"], p[prefix + "norm.beta"])
 
@@ -294,7 +292,7 @@ class SvtrModel:
         # Tokens are row-major over h x w, so as [b, 1, h, w*d] height is axis 2.
         x = T.mean_pool_height(T.reshape(x, (b, 1, h, w * d)))  # [b, 1, 1, w*d]
         x = T.reshape(x, (b, w, d))
-        x = T.linear(x, p["combine.fc.weight"], p["combine.fc.bias"])
+        x = T.matmul(x, p["combine.fc.weight"], p["combine.fc.bias"])
         x = T.gelu(x)
         return self._drop(x, self.config.dropout_rate)
 
@@ -330,9 +328,7 @@ class SvtrModel:
                 x = self.merging(x, stage + 1, h, w)
         h, w, _ = geometry[2]
         x = self.combining(x, h, w)
-        return T.linear(x, self.params["head.weight"], self.params["head.bias"])
-
-    __call__ = forward
+        return T.matmul(x, self.params["head.weight"], self.params["head.bias"])
 
 
 def export_attention(model: SvtrModel, image, stage: int, block: int,
@@ -340,14 +336,14 @@ def export_attention(model: SvtrModel, image, stage: int, block: int,
     """Post-softmax attention row for one query, reshaped to the stage grid."""
     cfg = model.config
     if not 1 <= stage <= 3:
-        raise IndexError(f"stage {stage} out of range 1..3")
+        raise ContractError(f"stage {stage} out of range 1..3")
     if not 0 <= block < cfg.depths[stage - 1]:
-        raise IndexError(f"block {block} out of range for stage {stage}")
+        raise ContractError(f"block {block} out of range for stage {stage}")
     if not 0 <= head < cfg.heads[stage - 1]:
-        raise IndexError(f"head {head} out of range for stage {stage}")
+        raise ContractError(f"head {head} out of range for stage {stage}")
     h, w, _ = cfg.stage_geometry()[stage - 1]
     if not 0 <= query_index < h * w:
-        raise IndexError(f"query {query_index} out of range for {h}x{w} grid")
+        raise ContractError(f"query {query_index} out of range for {h}x{w} grid")
 
     was_training = model.training
     model.eval()

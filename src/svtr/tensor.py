@@ -161,23 +161,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0, self.dtype))
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other, self.dtype))
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if len(axes) > 1 else axes[0])
-
     def sum(self):
         return tsum(self)
-
-    def mean(self):
-        return tmean(self)
 
 
 def _as_tensor(x, dtype) -> Tensor:
@@ -295,12 +280,10 @@ def gelu(x: Tensor) -> Tensor:
     return _make(out_data, (x,), bwd)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; exact identity when rate == 0 or in eval mode."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout, always applied: the caller decides when it runs."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0 or not training:
-        return x
     # Backward keeps the 1-byte mask and rebuilds the factor from it; the
     # product of the mask and the rounded scale is bitwise the rounded
     # product, so both passes see the same factor.
@@ -448,11 +431,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _make(out_data, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x[..., d_in] @ w[d_in, d_out] + b, as one graph node."""
-    return matmul(x, w, b)
-
-
 # -- convolution ------------------------------------------------------------
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int):
@@ -464,9 +442,9 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int
     return cols.reshape(b, ci * kh * kw, oh * ow)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
-           stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """Cross-correlation with per-axis stride and zero padding."""
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
+    """Cross-correlation with per-axis stride, zero-padded on each side by
+    half the kernel (1 for a 3x3 kernel)."""
     if x.data.ndim != 4 or weight.data.ndim != 4:
         raise ShapeError(f"conv2d expects rank-4 input and weight, got {x.shape}, {weight.shape}")
     b, ci, h, w = x.shape
@@ -474,7 +452,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor,
     if ci != ci_w:
         raise ShapeError(f"conv2d channel mismatch: input {ci} vs weight {ci_w}")
     sh, sw = stride
-    ph, pw = padding
+    ph, pw = kh // 2, kw // 2
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
     if oh < 1 or ow < 1:
@@ -596,43 +574,34 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     return _make(out_data, (x, gamma, beta), bwd)
 
 
-# -- softmax family ---------------------------------------------------------
+# -- softmax family, over the last axis -------------------------------------
 
-def _check_axis(x: Tensor, axis: int) -> int:
-    nd = x.data.ndim
-    if not -nd <= axis < nd:
-        raise ShapeError(f"axis {axis} out of range for rank {nd}")
-    return axis % nd
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    ax = _check_axis(x, axis)
+def softmax(x: Tensor) -> Tensor:
     x64 = _wide(x.data)
-    shifted = x64 - x64.max(axis=ax, keepdims=True)
+    shifted = x64 - x64.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y64 = e / e.sum(axis=ax, keepdims=True)
+    y64 = e / e.sum(axis=-1, keepdims=True)
     out_data = y64.astype(x.dtype)
     xn = x._node
 
     def bwd(g):
         g64 = _wide(g)
-        _accumulate(xn, y64 * (g64 - (g64 * y64).sum(axis=ax, keepdims=True)))
+        _accumulate(xn, y64 * (g64 - (g64 * y64).sum(axis=-1, keepdims=True)))
 
     return _make(out_data, (x,), bwd)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    ax = _check_axis(x, axis)
+def log_softmax(x: Tensor) -> Tensor:
     x64 = _wide(x.data)
-    shifted = x64 - x64.max(axis=ax, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=ax, keepdims=True))
+    shifted = x64 - x64.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out64 = shifted - lse
     out_data = out64.astype(x.dtype)
     xn = x._node
 
     def bwd(g):
         g64 = _wide(g)
-        _accumulate(xn, g64 - np.exp(out64) * g64.sum(axis=ax, keepdims=True))
+        _accumulate(xn, g64 - np.exp(out64) * g64.sum(axis=-1, keepdims=True))
 
     return _make(out_data, (x,), bwd)
 

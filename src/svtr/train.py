@@ -89,7 +89,7 @@ def _check_feasible(samples: list[LabeledSample], seq_len: int):
 
 def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
           batch_size: int, seed: int = 42, peak_lr: float | None = None,
-          weight_decay: float = 0.05, warmup_epochs: int = WARMUP_EPOCHS,
+          warmup_epochs: int = WARMUP_EPOCHS,
           val_fraction: float = 0.0, clip_norm: float | None = CLIP_NORM,
           checkpoint_dir=None, log_path=None) -> list[EpochMetrics]:
     """Run the full recipe; returns per-epoch metrics (also written to log_path).
@@ -123,7 +123,7 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
         warmup_steps=warmup_epochs * steps_per_epoch,
         total_steps=epochs * steps_per_epoch,
     )
-    optimizer = AdamW(model.params, weight_decay=weight_decay)
+    optimizer = AdamW(model.params)
 
     log_fh = None
     if log_path is not None:
@@ -149,7 +149,7 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
                 model.seed_dropout(seed * 1_000_003 + global_step)
                 model.zero_grad()
                 logits = model.forward(images)
-                loss = ctc_loss(T.log_softmax(logits, axis=-1), labels)
+                loss = ctc_loss(T.log_softmax(logits), labels)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise ContractError(

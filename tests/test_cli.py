@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+import svtr.cli
 import svtr.data
+from svtr.checkpoint import restore_model
 from svtr.cli import main
-from svtr.data import read_pnm
+from svtr.config import PRESETS
+from svtr.ctc import Charset, LabelSeq, greedy_decode
+from svtr.data import load_image, read_pnm
 
 
 def run(capsys, *argv):
@@ -182,6 +186,80 @@ def test_infer_deterministic(capsys, trained):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_infer_dump_logits_holds_one_array_per_image_that_decodes_to_the_printed_text(
+        capsys, trained, tmp_path):
+    images = [str(p) for p in sorted((trained / "data" / "images").glob("*.ppm"))[:2]]
+    dump = tmp_path / "logits.npz"
+    code, out, _ = run(capsys, "infer", "--config", "svtr-micro",
+                       "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                       "--image", *images, "--dump-logits", str(dump))
+    assert code == 0
+    printed = dict(line.split("\t") for line in out.splitlines())
+    config = PRESETS["svtr-micro"]
+    with np.load(dump) as arrays:
+        assert sorted(arrays.files) == images
+        for path in images:
+            logits = arrays[path]
+            assert logits.shape == (config.seq_len, config.charset_size)
+            assert Charset().decode(greedy_decode(logits[None])[0]) == printed[path]
+
+
+def test_attn_dump_char_queries_the_centre_row_of_the_first_column_predicting_it(
+        capsys, trained, tmp_path):
+    image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
+    checkpoint = trained / "ckpt" / "last.ckpt"
+    config = PRESETS["svtr-micro"]
+    model, _ = restore_model(checkpoint, expected_config=config)
+    model.eval()
+    logits = model.forward(load_image(image, config.input_h, config.input_w)[None])
+    path = np.argmax(logits.data[0], axis=-1)
+    target = int(path[-1])
+    assert target != 0, "the last column must predict a character"
+    column = int(np.nonzero(path == target)[0][0])
+    char = Charset().decode(LabelSeq((target,)))
+    h, w, _ = config.stage_geometry()[1]
+    code, out, _ = run(capsys, "attn-dump", "--config", "svtr-micro",
+                       "--checkpoint", str(checkpoint), "--image", str(image),
+                       "--stage", "2", "--block", "0", "--head", "0", "--char", char,
+                       "--out", str(tmp_path))
+    assert code == 0
+    assert out.strip() == str(tmp_path / f"attn_s2_b0_h0_q{(h // 2) * w + column}.pgm")
+
+
+@pytest.mark.parametrize("stage", ["0", "4", "5"])
+def test_attn_dump_stage_out_of_range_is_a_usage_error(capsys, trained, stage):
+    with pytest.raises(SystemExit) as exc:
+        main(["attn-dump", "--config", "svtr-micro",
+              "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+              "--image", "unused.ppm", "--stage", stage, "--block", "0", "--query", "0"])
+    assert exc.value.code == 2
+    assert "error: argument --stage: invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [("--block", "1", "--query", "0"),
+                                   ("--block", "0", "--head", "2", "--query", "0"),
+                                   ("--block", "0", "--query", "32"),
+                                   ("--block", "0", "--query", "-1"),
+                                   ("--block", "0", "--char", "")],
+                         ids=["block", "head", "query", "negative-query", "empty-char"])
+def test_attn_dump_range_error_is_one_error_line(capsys, trained, extra):
+    image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
+    code, out, err = run(capsys, "attn-dump", "--config", "svtr-micro",
+                         "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                         "--image", str(image), "--stage", "2", *extra)
+    assert code == 1 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_a_programming_error_is_not_caught(monkeypatch):
+    def broken(args):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(svtr.cli, "cmd_params", broken)
+    with pytest.raises(IndexError):
+        main(["params", "--config", "svtr-t"])
 
 
 def test_attn_dump_writes_one_file_per_head(capsys, trained, tmp_path):

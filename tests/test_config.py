@@ -2,11 +2,14 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from svtr.audit import count_flops, count_params
 from svtr.config import PRESETS, SvtrConfig, format_config, load_config, parse_config_text
 from svtr.exceptions import ContractError, GeometryError, SvtrError
+from svtr.model import SvtrModel
 
 
 def test_presets_construct():
@@ -140,6 +143,25 @@ def test_parse_any_text_gives_a_config_or_a_typed_error(text):
     except SvtrError:
         return
     assert isinstance(config, SvtrConfig)
+    assert count_params(config) > 0
+    assert count_flops(config).total_macs > 0
+
+
+@pytest.mark.parametrize("ratio", ["1e308", "0.001", "0.06"])
+def test_mlp_ratio_whose_width_is_not_finite_or_rounds_below_one_is_rejected(ratio):
+    with pytest.raises(ContractError, match="mlp_ratio"):
+        parse_config_text(f"preset = svtr-micro\nmlp_ratio = {ratio}\n")
+
+
+def test_mlp_dims_round_the_ratio_times_each_embed_dim():
+    config = dataclasses.replace(PRESETS["svtr-micro"], mlp_ratio=0.07)
+    assert config.embed_dims == (8, 16, 24)
+    assert config.mlp_dims == (1, 1, 2)
+    model = SvtrModel(config, seed=0)
+    assert model.params["stage1.block0.mlp.fc1.weight"].shape == (8, 1)
+    images = np.zeros((1, 3, config.input_h, config.input_w), dtype=np.float32)
+    assert model.forward(images).shape == (1, config.seq_len, config.charset_size)
+    assert PRESETS["svtr-t"].mlp_dims == (256, 512, 1024)
 
 
 def test_load_config_preset_and_file(tmp_path):

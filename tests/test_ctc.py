@@ -58,6 +58,21 @@ def test_charset_file_roundtrip(tmp_path):
     assert Charset.from_file(path).symbols == "abc123"
 
 
+def test_charset_file_line_with_two_symbols_is_rejected(tmp_path):
+    path = tmp_path / "charset.txt"
+    symbols = "0123456789abcdefghijklmnopqrstuv"
+    path.write_text("\n".join([*symbols, "wx", "yz"]) + "\n", encoding="utf-8")
+    with pytest.raises(ContractError, match=r"charset\.txt:33: .*'wx'"):
+        Charset.from_file(path)
+
+
+def test_charset_file_that_is_not_utf8_is_rejected(tmp_path):
+    path = tmp_path / "charset.txt"
+    path.write_bytes(b"a\n\xff\n")
+    with pytest.raises(ContractError, match="not UTF-8"):
+        Charset.from_file(path)
+
+
 def test_label_rejects_blank():
     with pytest.raises(ContractError):
         LabelSeq((1, 0, 2))
@@ -263,7 +278,7 @@ def test_gradient_through_log_softmax_sums_to_zero():
     # chain rule through the normalization makes each row's gradient sum zero
     rng = np.random.default_rng(6)
     logits = Tensor(rng.normal(size=(2, 6, 4)), requires_grad=True)
-    ctc_loss(T.log_softmax(logits, axis=-1), [LabelSeq((1, 2)), LabelSeq((3,))]).backward()
+    ctc_loss(T.log_softmax(logits), [LabelSeq((1, 2)), LabelSeq((3,))]).backward()
     np.testing.assert_allclose(logits.grad.sum(axis=-1), 0.0, atol=1e-5)
 
 

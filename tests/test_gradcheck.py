@@ -26,11 +26,11 @@ def test_composite_conv_layernorm_linear_chain_f32():
     rng = np.random.default_rng(99)
 
     def chain(ts):
-        x = T.conv2d(ts[0], ts[1], ts[2], stride=(1, 1), padding=(1, 1))
+        x = T.conv2d(ts[0], ts[1], ts[2], stride=(1, 1))
         b, c, h, w = x.shape
         x = T.transpose(T.reshape(x, (b, c, h * w)), (0, 2, 1))
         x = T.layernorm(x, ts[3], ts[4])
-        return T.linear(x, ts[5], ts[6]).sum()
+        return T.matmul(x, ts[5], ts[6]).sum()
 
     arrays = [rng.uniform(-1, 1, size=(1, 2, 4, 5)),
               rng.uniform(-1, 1, size=(3, 2, 3, 3)),

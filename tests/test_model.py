@@ -1,6 +1,7 @@
 """Backbone behavior: shape contracts, parameter enumeration oracles,
 residual identities, local/global saturation, and attention export."""
 
+import dataclasses
 import re
 import weakref
 
@@ -9,7 +10,7 @@ import pytest
 
 from svtr import tensor as T
 from svtr.config import PRESETS, SvtrConfig
-from svtr.exceptions import ContractError, GeometryError
+from svtr.exceptions import ContractError, GeometryError, ShapeError
 from svtr.gradcheck import micro_config
 from svtr.model import SvtrModel, export_attention, parameter_spec
 from svtr.tensor import Tensor
@@ -156,6 +157,32 @@ def test_full_true_mask_matches_global_bitwise():
     np.testing.assert_array_equal(local.data, glob.data)
 
 
+def test_local_mask_of_the_wrong_shape_is_a_shape_error():
+    model = micro_model()
+    x = Tensor(np.random.default_rng(3).normal(size=(2, 12, 8)).astype(np.float32))
+    with pytest.raises(ShapeError, match="mask shape"):
+        model.mixing_block(x, "stage1.block0.", heads=1, mask=np.ones((6, 6), dtype=bool))
+
+
+def test_eval_forward_with_dropout_on_never_calls_dropout(monkeypatch):
+    config = dataclasses.replace(micro_config(), dropout_rate=0.1, attn_dropout_rate=0.1)
+    model = SvtrModel(config, seed=0)
+    calls = []
+    dropout = T.dropout
+
+    def counting_dropout(*args):
+        calls.append(args[1])
+        return dropout(*args)
+
+    monkeypatch.setattr(T, "dropout", counting_dropout)
+    images = np.random.default_rng(12).uniform(size=(2, 3, config.input_h, config.input_w))
+    model.eval().forward(images)
+    assert calls == []
+    model.train().forward(images)
+    # embed, then attention, MLP hidden and MLP output per block, then combine.
+    assert len(calls) == 2 + 3 * sum(config.depths)
+
+
 def test_zeroed_merge_outputs_zero():
     model = micro_model()
     _zero_block(model, "merge1.")
@@ -177,7 +204,7 @@ def test_combining_height_one_is_projection():
     model = micro_model()
     x = Tensor(np.random.default_rng(5).normal(size=(1, 16, 24)).astype(np.float32))
     out = model.combining(x, 1, 16)
-    direct = T.gelu(T.linear(x, model.params["combine.fc.weight"],
+    direct = T.gelu(T.matmul(x, model.params["combine.fc.weight"],
                              model.params["combine.fc.bias"]))
     np.testing.assert_array_equal(out.data, direct.data)
 
@@ -300,5 +327,5 @@ def test_out_of_range_export_indices():
                    dict(stage=1, block=1, head=0, query_index=0),
                    dict(stage=1, block=0, head=1, query_index=0),
                    dict(stage=1, block=0, head=0, query_index=10_000)]:
-        with pytest.raises(IndexError):
+        with pytest.raises(ContractError):
             export_attention(model, image, **kwargs)

@@ -88,7 +88,7 @@ def test_linear_is_one_node_bitwise_equal_to_matmul_then_add(dtype):
     arrays = [rng.normal(size=s).astype(dtype) for s in ((3, 5, 8), (8, 6), (6,))]
     g = Tensor(rng.normal(size=(3, 5, 6)).astype(dtype))
     runs = []
-    for fn in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
+    for fn in (T.matmul, lambda x, w, b: T.add(T.matmul(x, w), b)):
         x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
         out = fn(x, w, b)
         runs.append(out._parents == (x._node, w._node, b._node))
@@ -105,7 +105,7 @@ def test_conv2d_ones_counting():
     x = Tensor(np.ones((1, 1, 4, 4)))
     w = Tensor(np.ones((1, 1, 3, 3)))
     b = Tensor(np.zeros(1))
-    out = T.conv2d(x, w, b, stride=(1, 1), padding=(1, 1))
+    out = T.conv2d(x, w, b, stride=(1, 1))
     assert out.shape == (1, 1, 4, 4)
     # interior positions see the full 3x3 window
     assert out.data[0, 0, 1, 1] == 9.0
@@ -118,7 +118,7 @@ def test_conv2d_stride_two_geometry():
     x = Tensor(np.zeros((2, 3, 32, 128)))
     w = Tensor(np.zeros((8, 3, 3, 3)))
     b = Tensor(np.zeros(8))
-    out = T.conv2d(x, w, b, stride=(2, 2), padding=(1, 1))
+    out = T.conv2d(x, w, b, stride=(2, 2))
     assert out.shape == (2, 8, 16, 64)
 
 
@@ -241,20 +241,20 @@ def test_batchnorm2d_rebuilds_xhat_bitwise(dtype, training):
 
 
 def test_softmax_uniform():
-    out = T.softmax(Tensor(np.zeros((1, 3))), axis=-1)
+    out = T.softmax(Tensor(np.zeros((1, 3))))
     np.testing.assert_allclose(out.data, 1.0 / 3.0, atol=1e-7)
 
 
 def test_softmax_rows_sum_to_one():
     x = Tensor(np.random.default_rng(2).normal(size=(4, 7)))
-    out = T.softmax(x, axis=-1)
+    out = T.softmax(x)
     np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_log_softmax_matches_log_of_softmax():
     x = Tensor(np.random.default_rng(3).normal(size=(2, 5)).astype(np.float64))
-    np.testing.assert_allclose(T.log_softmax(x, axis=-1).data,
-                               np.log(T.softmax(x, axis=-1).data), atol=1e-7)
+    np.testing.assert_allclose(T.log_softmax(x).data,
+                               np.log(T.softmax(x).data), atol=1e-7)
 
 
 def test_mean_pool_height_column():
@@ -267,19 +267,13 @@ def test_mean_pool_height_column():
 
 def test_dropout_rate_zero_is_identity():
     x = Tensor(np.random.default_rng(4).normal(size=(3, 5)))
-    out = T.dropout(x, 0.0, True, np.random.default_rng(0))
-    np.testing.assert_array_equal(out.data, x.data)
-
-
-def test_dropout_eval_is_identity():
-    x = Tensor(np.random.default_rng(5).normal(size=(3, 5)))
-    out = T.dropout(x, 0.5, False, np.random.default_rng(0))
+    out = T.dropout(x, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_dropout_training_scales_survivors():
     x = Tensor(np.ones((100, 100)))
-    out = T.dropout(x, 0.5, True, np.random.default_rng(6))
+    out = T.dropout(x, 0.5, np.random.default_rng(6))
     values = np.unique(out.data)
     np.testing.assert_allclose(values, [0.0, 2.0])
 
@@ -288,7 +282,7 @@ def test_dropout_backward_rebuilds_the_forward_factor():
     rng = np.random.default_rng(16)
     x = Tensor(rng.normal(size=(6, 40)).astype(np.float32), requires_grad=True)
     g = rng.normal(size=(6, 40)).astype(np.float32)
-    out = T.dropout(x, 0.3, True, np.random.default_rng(17))
+    out = T.dropout(x, 0.3, np.random.default_rng(17))
     T.mul(out, Tensor(g)).sum().backward()
     keep = np.random.default_rng(17).random((6, 40)) >= 0.3
     factor = (keep * (1.0 / (1.0 - 0.3))).astype(np.float32)
@@ -321,7 +315,7 @@ def test_backward_requires_scalar():
 
 def test_reshape_transpose_roundtrip_backward():
     x = Tensor(np.random.default_rng(9).normal(size=(4, 6)), requires_grad=True)
-    y = x.reshape((2, 6, 2)).transpose((1, 0, 2)).reshape((6, 4)).sum()
+    y = T.reshape(T.transpose(T.reshape(x, (2, 6, 2)), (1, 0, 2)), (6, 4)).sum()
     y.backward()
     np.testing.assert_array_equal(x.grad, np.ones((4, 6), dtype=np.float32))
 
@@ -341,7 +335,7 @@ def test_split_partitions_and_backscatters():
 def test_apply_attention_mask_blocks_entries():
     scores = Tensor(np.zeros((1, 3, 3)))
     mask = np.eye(3, dtype=bool)
-    out = T.softmax(T.apply_attention_mask(scores, mask), axis=-1)
+    out = T.softmax(T.apply_attention_mask(scores, mask))
     np.testing.assert_allclose(out.data[0], np.eye(3), atol=1e-6)
 
 
@@ -403,11 +397,11 @@ def _param(*shape):
 _INPUT_UNREAD = {
     "add": lambda x: T.add(x, _param(4)),
     "mul_by_constant": lambda x: x * 0.5,
-    "dropout": lambda x: T.dropout(x, 0.5, True, np.random.default_rng(0)),
-    "softmax": lambda x: T.softmax(x, axis=-1),
-    "log_softmax": lambda x: T.log_softmax(x, axis=-1),
+    "dropout": lambda x: T.dropout(x, 0.5, np.random.default_rng(0)),
+    "softmax": T.softmax,
+    "log_softmax": T.log_softmax,
     "apply_attention_mask": lambda x: T.apply_attention_mask(x, np.eye(4, dtype=bool)),
-    "conv2d": lambda x: T.conv2d(x, _param(2, 3, 3, 3), _param(2), padding=(1, 1)),
+    "conv2d": lambda x: T.conv2d(x, _param(2, 3, 3, 3), _param(2)),
     "tsum": T.tsum,
     "tmean": T.tmean,
     "mean_pool_height": T.mean_pool_height,
@@ -461,5 +455,5 @@ def test_forward_determinism():
     rng = np.random.default_rng(10)
     x = rng.normal(size=(2, 8)).astype(np.float32)
     w = rng.normal(size=(8, 8)).astype(np.float32)
-    runs = [T.softmax(T.matmul(Tensor(x), Tensor(w)), axis=-1).data for _ in range(2)]
+    runs = [T.softmax(T.matmul(Tensor(x), Tensor(w))).data for _ in range(2)]
     np.testing.assert_array_equal(runs[0], runs[1])
