@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gradcheck as gc
 from .audit import count_flops, count_params, param_breakdown
-from .checkpoint import check_compatible, load_checkpoint, restore_model
+from .checkpoint import restore_model
 from .config import PRESETS, load_config
 from .ctc import Charset, greedy_decode
 from .data import RenderStyle, gen_dataset, load_dataset, load_image, save_dataset, write_pnm
@@ -151,6 +151,9 @@ def cmd_eval(args):
 def cmd_infer(args):
     config = load_config(args.config)
     charset = _charset_for(config, args)
+    if args.dump_logits and len(set(args.image)) != len(args.image):
+        raise ContractError("--dump-logits keys the logits by image path, "
+                            "so no --image path may be given twice")
     model, _ = restore_model(args.checkpoint, expected_config=config)
     model.eval()
     dumped = {}
@@ -163,7 +166,9 @@ def cmd_infer(args):
         if args.dump_logits:
             dumped[path] = logits[0]
     if args.dump_logits:
-        np.savez(args.dump_logits, **dumped)
+        # Through a handle, so that np.savez appends no ".npz" to the name.
+        with open(args.dump_logits, "wb") as fh:
+            np.savez(fh, **dumped)
     return 0
 
 
@@ -184,21 +189,21 @@ def _query_for_char(model, charset, image, char: str, stage: int) -> int:
 
 def cmd_attn_dump(args):
     config = load_config(args.config)
+    n_heads = config.heads[args.stage - 1]
+    if args.head is not None and not 0 <= args.head < n_heads:
+        raise ContractError(f"head {args.head} out of range for stage {args.stage}")
     model, _ = restore_model(args.checkpoint, expected_config=config)
     model.eval()
     image = load_image(args.image, config.input_h, config.input_w)
     if args.char is not None:
         charset = _charset_for(config, args)
         query = _query_for_char(model, charset, image, args.char, args.stage)
-    elif args.query is not None:
-        query = args.query
     else:
-        raise SvtrError("one of --query or --char is required")
-    heads = [args.head] if args.head is not None else \
-        list(range(config.heads[args.stage - 1]))
+        query = args.query
+    rows = export_attention(model, image[None], args.stage, args.block, query)
+    heads = [args.head] if args.head is not None else range(n_heads)
     for head in heads:
-        heatmap = export_attention(model, image[None], args.stage, args.block,
-                                   head, query)
+        heatmap = rows[head]
         peak = heatmap.max()
         scaled = heatmap / peak if peak > 0 else heatmap
         name = f"attn_s{args.stage}_b{args.block}_h{head}_q{query}.pgm"
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_arg(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--image", nargs="+", required=True)
-    p.add_argument("--dump-logits", help="write raw logits to this .npz file")
+    p.add_argument("--dump-logits", help="write raw logits to this file (.npz format)")
     p.add_argument("--charset")
     p.set_defaults(fn=cmd_infer)
 
@@ -291,8 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stage", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--block", type=int, required=True)
     p.add_argument("--head", type=int, help="default: all heads of the stage")
-    p.add_argument("--query", type=int)
-    p.add_argument("--char", help="pick the query from the column predicting this character")
+    query = p.add_mutually_exclusive_group(required=True)
+    query.add_argument("--query", type=int)
+    query.add_argument("--char", help="pick the query from the column predicting this character")
     p.add_argument("--out", help="output directory (default: cwd)")
     p.add_argument("--charset")
     p.set_defaults(fn=cmd_attn_dump)

@@ -18,12 +18,11 @@ from .exceptions import ContractError, DatasetError, RenderError
 
 GLYPH_SCALE = 2     # preferred integer glyph scale; shrunk to fit
 CONTRAST = 0.8      # ink/background separation in [0, 1]
+JITTER = 1          # each glyph moves by up to this many pixels along each axis
 
 
 @dataclass(frozen=True)
 class RenderStyle:
-    x_jitter: int = 1
-    y_jitter: int = 1
     noise_sigma: float = 0.02
 
     def __post_init__(self):
@@ -43,8 +42,6 @@ def _advance(scale: int) -> int:
 
 
 def _row_width(n_glyphs: int, scale: int) -> int:
-    if n_glyphs == 0:
-        return 0
     return n_glyphs * _advance(scale) - scale
 
 
@@ -68,8 +65,8 @@ def render_text(text: str, h: int, w: int, style: RenderStyle | None = None,
         y_base = (h - font.GLYPH_H * scale) // 2
         for ch in text:
             mask = np.kron(font.glyph(ch), np.ones((scale, scale), dtype=bool))
-            jx = int(rng.integers(-style.x_jitter, style.x_jitter + 1)) if style.x_jitter else 0
-            jy = int(rng.integers(-style.y_jitter, style.y_jitter + 1)) if style.y_jitter else 0
+            jx = int(rng.integers(-JITTER, JITTER + 1))
+            jy = int(rng.integers(-JITTER, JITTER + 1))
             gx = int(np.clip(x + jx, 0, w - mask.shape[1]))
             gy = int(np.clip(y_base + jy, 0, h - mask.shape[0]))
             region = canvas[gy:gy + mask.shape[0], gx:gx + mask.shape[1]]

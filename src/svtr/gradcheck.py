@@ -50,12 +50,11 @@ def central_difference(fn, flat: np.ndarray, i: int, h: float) -> float:
     return (up - down) / (2 * h)
 
 
-def numeric_grad(fn, arrays: list[np.ndarray], index: int,
-                 h: float = H_STEP) -> np.ndarray:
+def numeric_grad(fn, arrays: list[np.ndarray], index: int) -> np.ndarray:
     """Central differences of the scalar fn wrt arrays[index], in f64."""
     arrays = [a.copy() for a in arrays]
     flat = arrays[index].reshape(-1)
-    grad = [central_difference(lambda: fn(arrays), flat, i, h) for i in range(flat.size)]
+    grad = [central_difference(lambda: fn(arrays), flat, i, H_STEP) for i in range(flat.size)]
     return np.array(grad, dtype=np.float64).reshape(arrays[index].shape)
 
 

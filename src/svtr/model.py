@@ -31,12 +31,11 @@ def local_attention_mask(h: int, w: int, wh: int, ww: int) -> np.ndarray:
         raise ContractError(f"window {wh}x{ww} must have odd sides")
     if h < 1 or w < 1 or wh < 1 or ww < 1:
         raise ContractError(f"grid {h}x{w} and window {wh}x{ww} must be positive")
-    idx = np.arange(h * w)
-    rows = idx // w
-    cols = idx % w
-    dr = np.abs(rows[:, None] - rows[None, :])
-    dc = np.abs(cols[:, None] - cols[None, :])
-    return (dr <= (wh - 1) // 2) & (dc <= (ww - 1) // 2)
+    # Tokens are row-major, so the mask is the Kronecker product of a row
+    # band and a column band.
+    rows, cols = np.arange(h), np.arange(w)
+    return np.kron(np.abs(rows[:, None] - rows) <= (wh - 1) // 2,
+                   np.abs(cols[:, None] - cols) <= (ww - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -168,7 +167,8 @@ class SvtrModel:
             "embed.bn2": BatchNormState.create(d0),
         }
         self.training = True
-        self._mask_cache: dict[tuple, np.ndarray] = {}
+        self._masks = [local_attention_mask(h, w, *config.window)
+                       for h, w, _ in config.stage_geometry()]
         self._dropout_seed = seed
         self._dropout_calls = 0
         self.attention_maps: dict[tuple, np.ndarray] = {}
@@ -211,12 +211,6 @@ class SvtrModel:
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
-
-    def mask_for(self, h: int, w: int) -> np.ndarray:
-        key = (h, w, *self.config.window)
-        if key not in self._mask_cache:
-            self._mask_cache[key] = local_attention_mask(h, w, *self.config.window)
-        return self._mask_cache[key]
 
     # -- forward pieces -----------------------------------------------------
 
@@ -320,7 +314,7 @@ class SvtrModel:
             h, w, _ = geometry[stage]
             kinds = cfg.stage_permutation(stage)
             for block, kind in enumerate(kinds):
-                mask = self.mask_for(h, w) if kind == LOCAL else None
+                mask = self._masks[stage] if kind == LOCAL else None
                 key = (stage + 1, block) if capture_attention else None
                 x = self.mixing_block(x, f"stage{stage + 1}.block{block}.",
                                       cfg.heads[stage], mask, capture_key=key)
@@ -332,15 +326,14 @@ class SvtrModel:
 
 
 def export_attention(model: SvtrModel, image, stage: int, block: int,
-                     head: int, query_index: int) -> np.ndarray:
-    """Post-softmax attention row for one query, reshaped to the stage grid."""
+                     query_index: int) -> np.ndarray:
+    """Every head's post-softmax attention row for one query, from one eval
+    forward, each reshaped to the stage grid: [heads, h, w]."""
     cfg = model.config
     if not 1 <= stage <= 3:
         raise ContractError(f"stage {stage} out of range 1..3")
     if not 0 <= block < cfg.depths[stage - 1]:
         raise ContractError(f"block {block} out of range for stage {stage}")
-    if not 0 <= head < cfg.heads[stage - 1]:
-        raise ContractError(f"head {head} out of range for stage {stage}")
     h, w, _ = cfg.stage_geometry()[stage - 1]
     if not 0 <= query_index < h * w:
         raise ContractError(f"query {query_index} out of range for {h}x{w} grid")
@@ -352,4 +345,4 @@ def export_attention(model: SvtrModel, image, stage: int, block: int,
     finally:
         model.training = was_training
     maps = model.attention_maps[(stage, block)]
-    return maps[0, head, query_index].reshape(h, w)
+    return maps[0, :, query_index].reshape(-1, h, w)

@@ -10,6 +10,7 @@ from svtr.cli import main
 from svtr.config import PRESETS
 from svtr.ctc import Charset, LabelSeq, greedy_decode
 from svtr.data import load_image, read_pnm
+from svtr.model import SvtrModel
 
 
 def run(capsys, *argv):
@@ -123,6 +124,23 @@ def test_out_of_range_float_is_a_usage_error(capsys, argv):
     assert f"error: argument {argv[-2]}: must be a " in err
 
 
+def test_train_without_data_fits_a_synthetic_corpus(capsys, tmp_path):
+    code, out, err = run(capsys, "train", "--config", "svtr-micro", "--synth", "4",
+                         "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path))
+    assert code == 0 and not err
+    assert out.startswith("epoch 0: loss ")
+    assert (tmp_path / "last.ckpt").exists()
+
+
+def test_charset_of_another_size_is_one_error_line(capsys, tmp_path):
+    charset = tmp_path / "charset.txt"
+    charset.write_text("a\nb\nc\n", encoding="utf-8")
+    code, out, err = run(capsys, "train", "--config", "svtr-micro", "--epochs", "1",
+                         "--charset", str(charset))
+    assert code == 1 and not out
+    assert err == "error: charset has 4 classes but config expects 37\n"
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One short CLI training run shared by the downstream command tests."""
@@ -150,6 +168,16 @@ def test_eval_prints_metrics(capsys, trained):
                        "--data", str(trained / "data"))
     assert code == 0
     assert "word_accuracy" in out and "norm_edit_sim" in out
+
+
+def test_eval_on_an_empty_corpus_prints_a_warning(capsys, trained, tmp_path):
+    (tmp_path / "labels.tsv").write_text("")
+    code, out, _ = run(capsys, "eval", "--config", "svtr-micro",
+                       "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                       "--data", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[0] == "warning: empty evaluation dataset"
+    assert "word_accuracy\t0.000000" in out
 
 
 def test_infer_outputs_one_line_per_image(capsys, trained):
@@ -206,6 +234,29 @@ def test_infer_dump_logits_holds_one_array_per_image_that_decodes_to_the_printed
             assert Charset().decode(greedy_decode(logits[None])[0]) == printed[path]
 
 
+def test_infer_dump_logits_writes_the_file_it_names(capsys, trained, tmp_path):
+    image = str(sorted((trained / "data" / "images").glob("*.ppm"))[0])
+    dump = tmp_path / "out.bin"
+    code, _, _ = run(capsys, "infer", "--config", "svtr-micro",
+                     "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                     "--image", image, "--dump-logits", str(dump))
+    assert code == 0
+    assert not (tmp_path / "out.bin.npz").exists()
+    with np.load(dump) as arrays:
+        assert arrays.files == [image]
+
+
+def test_infer_dump_logits_rejects_a_repeated_image(capsys, trained, tmp_path):
+    image = str(sorted((trained / "data" / "images").glob("*.ppm"))[0])
+    dump = tmp_path / "logits.npz"
+    code, out, err = run(capsys, "infer", "--config", "svtr-micro",
+                         "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                         "--image", image, image, "--dump-logits", str(dump))
+    assert code == 1 and not out
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not dump.exists()
+
+
 def test_attn_dump_char_queries_the_centre_row_of_the_first_column_predicting_it(
         capsys, trained, tmp_path):
     image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
@@ -253,6 +304,18 @@ def test_attn_dump_range_error_is_one_error_line(capsys, trained, extra):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("query", [("--query", "3", "--char", "a"), ()], ids=["both", "neither"])
+def test_attn_dump_takes_exactly_one_of_query_and_char(capsys, trained, query):
+    image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["attn-dump", "--config", "svtr-micro",
+              "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+              "--image", str(image), "--stage", "1", "--block", "0", *query])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--query" in err.splitlines()[-1]
+
+
 def test_a_programming_error_is_not_caught(monkeypatch):
     def broken(args):
         raise IndexError("list index out of range")
@@ -275,6 +338,25 @@ def test_attn_dump_writes_one_file_per_head(capsys, trained, tmp_path):
         heatmap = read_pnm(path)
         assert heatmap.shape == (2, 16)
         assert heatmap.max() <= 1.0
+
+
+def test_attn_dump_exports_every_head_from_one_forward(capsys, trained, tmp_path,
+                                                     monkeypatch):
+    calls = []
+    forward = SvtrModel.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(SvtrModel, "forward", counted)
+    image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
+    code, out, _ = run(capsys, "attn-dump", "--config", "svtr-micro",
+                       "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                       "--image", str(image), "--stage", "2", "--block", "0",
+                       "--query", "0", "--out", str(tmp_path))
+    assert code == 0 and len(out.splitlines()) == 2
+    assert len(calls) == 1
 
 
 def test_attn_dump_local_stage_zero_outside_window(capsys, trained, tmp_path):

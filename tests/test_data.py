@@ -6,11 +6,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from svtr import font
 from svtr.ctc import Charset
-from svtr.data import (LabeledSample, RenderStyle, gen_dataset, load_dataset,
+from svtr.data import (LabeledSample, RenderStyle, gen_dataset, load_dataset, load_image,
                        read_pnm, render_text, save_dataset, write_pnm)
 from svtr.exceptions import ContractError, DatasetError, RenderError, SvtrError
 
-QUIET = RenderStyle(noise_sigma=0.0, x_jitter=0, y_jitter=0)
+QUIET = RenderStyle(noise_sigma=0.0)
 
 
 def test_font_covers_charset():
@@ -122,7 +122,7 @@ def test_pnm_rejects_bad_magic(tmp_path):
 
 @pytest.mark.parametrize("data", [
     b"", b"P6\n", b"P6\nabc 4\n255\n", b"P6\n4 4\n255", b"P5\n# no newline",
-    b"P5\n4 4\n255\n", b"P5\n0 4\n255\n"])
+    b"P5\n4 4\n255\n", b"P5\n0 4\n255\n", b"P5\n2 2\n65535\n" + bytes(8)])
 def test_pnm_malformed_header_is_a_dataset_error(tmp_path, data):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
@@ -213,6 +213,16 @@ def test_oversize_label_rejected(tmp_path):
     (tmp_path / "labels.tsv").write_text("x.ppm\tabcdef\n")
     with pytest.raises(DatasetError):
         load_dataset(tmp_path, 16, 64, Charset(), max_label_len=5)
+
+
+def test_gray_image_loads_as_three_equal_channels(tmp_path):
+    gray = (np.random.default_rng(2).uniform(size=(16, 64)) * 255).astype(np.uint8)
+    path = tmp_path / "gray.pgm"
+    write_pnm(path, gray)
+    image = load_image(path, 16, 64)
+    assert image.shape == (3, 16, 64) and image.dtype == np.float32
+    for channel in image:
+        np.testing.assert_array_equal(channel, read_pnm(path))
 
 
 def test_load_resizes_to_requested_geometry(tmp_path):

@@ -12,7 +12,7 @@ from svtr import tensor as T
 from svtr.config import PRESETS, SvtrConfig
 from svtr.exceptions import ContractError, GeometryError, ShapeError
 from svtr.gradcheck import micro_config
-from svtr.model import SvtrModel, export_attention, parameter_spec
+from svtr.model import SvtrModel, export_attention, local_attention_mask, parameter_spec
 from svtr.tensor import Tensor
 
 
@@ -241,9 +241,9 @@ def test_permutation_order_does_not_change_shape():
 def test_exported_attention_is_a_distribution():
     model = micro_model()
     image = np.random.default_rng(7).uniform(size=(1, 3, 16, 32)).astype(np.float32)
-    grid = export_attention(model, image, stage=2, block=0, head=1, query_index=5)
-    assert grid.shape == (2, 8)
-    assert np.isclose(grid.sum(), 1.0, atol=1e-5)
+    rows = export_attention(model, image, stage=2, block=0, query_index=5)
+    assert rows.shape == (2, 2, 8)
+    np.testing.assert_allclose(rows.sum(axis=(1, 2)), 1.0, atol=1e-5)
 
 
 def test_exported_local_attention_zero_outside_window():
@@ -253,8 +253,8 @@ def test_exported_local_attention_zero_outside_window():
     query = 0
     grid = export_attention(model, np.random.default_rng(8)
                             .uniform(size=(1, 3, 16, 32)).astype(np.float32),
-                            stage=1, block=0, head=0, query_index=query)
-    mask = model.mask_for(h, w)[query].reshape(h, w)
+                            stage=1, block=0, query_index=query)[0]
+    mask = local_attention_mask(h, w, *config.window)[query].reshape(h, w)
     assert (grid[~mask] == 0).all()
     assert (grid[mask] > 0).all()
 
@@ -270,7 +270,7 @@ def test_zero_qk_weights_give_uniform_attention():
     model.params["stage2.block0.attn.qkv.bias"].data = \
         np.zeros_like(model.params["stage2.block0.attn.qkv.bias"].data)
     image = np.random.default_rng(9).uniform(size=(1, 3, 16, 32)).astype(np.float32)
-    grid = export_attention(model, image, stage=2, block=0, head=0, query_index=3)
+    grid = export_attention(model, image, stage=2, block=0, query_index=3)[0]
     np.testing.assert_allclose(grid, 1.0 / grid.size, atol=1e-6)
 
 
@@ -315,17 +315,15 @@ def test_exported_attention_matches_numpy_heads_of_qkv_column_blocks():
         attn = np.exp(scores - scores.max(-1, keepdims=True))
         attn /= attn.sum(-1, keepdims=True)
         for query in range(h * w):
-            grid = export_attention(model, image, stage=2, block=0, head=head,
-                                    query_index=query)
+            grid = export_attention(model, image, stage=2, block=0, query_index=query)[head]
             np.testing.assert_allclose(grid, attn[query].reshape(h, w), rtol=0, atol=1e-5)
 
 
 def test_out_of_range_export_indices():
     model = micro_model()
     image = np.zeros((1, 3, 16, 32), dtype=np.float32)
-    for kwargs in [dict(stage=4, block=0, head=0, query_index=0),
-                   dict(stage=1, block=1, head=0, query_index=0),
-                   dict(stage=1, block=0, head=1, query_index=0),
-                   dict(stage=1, block=0, head=0, query_index=10_000)]:
+    for kwargs in [dict(stage=4, block=0, query_index=0),
+                   dict(stage=1, block=1, query_index=0),
+                   dict(stage=1, block=0, query_index=10_000)]:
         with pytest.raises(ContractError):
             export_attention(model, image, **kwargs)

@@ -67,6 +67,14 @@ def test_bad_schedule_rejected(kwargs):
         train(model, tiny_dataset(), epochs=1, batch_size=8, **kwargs)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_weight_stops_training_at_step_zero():
+    model = SvtrModel(micro_config(), seed=0)
+    model.params["head.bias"].data[0] = np.nan
+    with pytest.raises(ContractError, match="training diverged: non-finite loss nan at step 0"):
+        train(model, tiny_dataset(), epochs=1, batch_size=8)
+
+
 def test_infeasible_label_rejected_before_training():
     from svtr.ctc import LabelSeq
     from svtr.data import LabeledSample
