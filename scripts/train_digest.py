@@ -55,7 +55,7 @@ def _digest(history, model: SvtrModel) -> str:
     for m in history:
         h.update(np.array([m.loss, m.accuracy, m.lr], dtype=np.float64).tobytes())
     for name, arr in [*((n, p.data) for n, p in model.params.items()),
-                      *model.named_buffers().items()]:
+                      *model.buffers.items()]:
         h.update(name.encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()

@@ -52,7 +52,7 @@ def save_checkpoint(path, model, step: int = 0, metrics: dict | None = None):
 
     for name, p in model.params.items():
         push(name, p.data, "param")
-    for name, buf in model.named_buffers().items():
+    for name, buf in model.buffers.items():
         push(name, buf, "buffer")
 
     header = json.dumps({

@@ -172,18 +172,15 @@ def cmd_infer(args):
     return 0
 
 
-def _query_for_char(model, charset, image, char: str, stage: int) -> int:
-    """Map a character to a query index: the grid cell at the stage's centre
-    row in the column where greedy decoding first emits that character."""
-    if len(char) != 1:
-        raise ContractError(f"--char takes one character, got {char!r}")
-    logits = model.forward(image[None])
-    path = np.argmax(logits.data[0], axis=-1)
+def _query_for_char(logits, charset, char: str, h: int, w: int) -> int:
+    """Map a character to a query index on an h x w stage grid: the cell at
+    the centre row in the column where greedy decoding of ``logits``
+    [1, W/4, charset_size] first emits that character."""
+    path = np.argmax(logits[0], axis=-1)
     target = charset.encode(char).indices[0]
     cols = np.nonzero(path == target)[0]
     if cols.size == 0:
         raise SvtrError(f"character {char!r} is not predicted for this image")
-    h, w, _ = model.config.stage_geometry()[stage - 1]
     return (h // 2) * w + int(cols[0])
 
 
@@ -192,18 +189,21 @@ def cmd_attn_dump(args):
     n_heads = config.heads[args.stage - 1]
     if args.head is not None and not 0 <= args.head < n_heads:
         raise ContractError(f"head {args.head} out of range for stage {args.stage}")
+    h, w, _ = config.stage_geometry()[args.stage - 1]
+    if args.query is not None and not 0 <= args.query < h * w:
+        raise ContractError(f"query {args.query} out of range for {h}x{w} grid")
+    if args.char is not None and len(args.char) != 1:
+        raise ContractError(f"--char takes one character, got {args.char!r}")
     model, _ = restore_model(args.checkpoint, expected_config=config)
-    model.eval()
     image = load_image(args.image, config.input_h, config.input_w)
+    maps, logits = export_attention(model, image[None], args.stage, args.block)
     if args.char is not None:
-        charset = _charset_for(config, args)
-        query = _query_for_char(model, charset, image, args.char, args.stage)
+        query = _query_for_char(logits, _charset_for(config, args), args.char, h, w)
     else:
         query = args.query
-    rows = export_attention(model, image[None], args.stage, args.block, query)
     heads = [args.head] if args.head is not None else range(n_heads)
     for head in heads:
-        heatmap = rows[head]
+        heatmap = maps[head, query]
         peak = heatmap.max()
         scaled = heatmap / peak if peak > 0 else heatmap
         name = f"attn_s{args.stage}_b{args.block}_h{head}_q{query}.pgm"

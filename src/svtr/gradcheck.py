@@ -16,7 +16,7 @@ from . import tensor as T
 from .config import PRESETS, SvtrConfig
 from .ctc import LabelSeq, ctc_loss
 from .model import SvtrModel
-from .tensor import BatchNormState, Tensor
+from .tensor import Tensor
 
 H_STEP = 1e-3
 TOLERANCES = {np.float64: 1e-4, np.float32: 1e-2}
@@ -89,7 +89,6 @@ def suite_cases() -> dict:
     rng = np.random.default_rng(1234)
     mask = np.zeros((6, 6), dtype=bool)
     mask[np.abs(np.arange(6)[:, None] - np.arange(6)[None, :]) <= 2] = True
-    bn_state = lambda: BatchNormState.create(3)  # noqa: E731 - fresh stats per eval
 
     cases = {
         "add": (lambda ts: (ts[0] + ts[1]).sum(),
@@ -107,8 +106,10 @@ def suite_cases() -> dict:
                     _uniform(rng, (3,))]),
         "layernorm": (lambda ts: T.layernorm(ts[0], ts[1], ts[2]).sum(),
                       [_uniform(rng, (3, 8)), _uniform(rng, (8,)), _uniform(rng, (8,))]),
-        "batchnorm2d": (lambda ts: T.mul(T.batchnorm2d(ts[0], ts[1], ts[2],
-                                                       bn_state(), True), ts[3]).sum(),
+        # Training mode reads no running statistic, but updates them in place.
+        "batchnorm2d": (lambda ts: T.mul(T.batchnorm2d(
+                            ts[0], ts[1], ts[2], np.zeros(3, np.float32),
+                            np.ones(3, np.float32), True), ts[3]).sum(),
                         [_uniform(rng, (4, 3, 2, 2)), _uniform(rng, (3,)),
                          _uniform(rng, (3,)), _uniform(rng, (4, 3, 2, 2))]),
         "softmax": (lambda ts: T.mul(T.softmax(ts[0]), ts[1]).sum(),
@@ -156,7 +157,7 @@ def check_model(dtype=np.float64) -> dict[str, float]:
     cfg = micro_config()
     model = SvtrModel(cfg, seed=MODEL_SEED, dtype=dtype)
     shadow = SvtrModel.from_state(cfg, {name: p.data for name, p in model.params.items()},
-                                  model.named_buffers(), dtype=np.float64)
+                                  model.buffers, dtype=np.float64)
     model.eval()   # dropout is 0 anyway; eval keeps BN stats frozen across evals
     shadow.eval()
     rng = np.random.default_rng(MODEL_SEED)

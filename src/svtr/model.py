@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .config import SvtrConfig, LOCAL
 from .exceptions import ContractError, GeometryError, ShapeError
-from .tensor import BatchNormState, Tensor
+from .tensor import Tensor
 
 
 def local_attention_mask(h: int, w: int, wh: int, ww: int) -> np.ndarray:
@@ -143,14 +143,13 @@ class SvtrModel:
         """A model holding the given parameters and BatchNorm buffers, built
         without drawing a random initialization; the dropout stream is the
         one ``SvtrModel(config)`` starts with.  Every array is copied, so the
-        model shares no memory with the state it was given."""
+        model shares no memory with the state it was given and can write
+        its buffers even when the state's arrays are read-only."""
         model = cls.__new__(cls)
         model._build(config, DEFAULT_SEED, dtype,
                      lambda spec: _state_entry(params, spec.name, spec.shape).astype(dtype))
-        for name, st in model.bn_states.items():
-            shape = st.running_mean.shape
-            st.running_mean = _state_entry(buffers, name + ".running_mean", shape).astype(np.float32)
-            st.running_var = _state_entry(buffers, name + ".running_var", shape).astype(np.float32)
+        model.buffers = {name: _state_entry(buffers, name, buf.shape).astype(np.float32)
+                         for name, buf in model.buffers.items()}
         return model
 
     def _build(self, config: SvtrConfig, seed: int, dtype, init):
@@ -161,17 +160,18 @@ class SvtrModel:
         self.params: dict[str, Tensor] = {
             spec.name: Tensor(init(spec), requires_grad=True)
             for spec in parameter_spec(config)}
+        # BatchNorm running statistics under their checkpoint names; training
+        # forwards update these f32 arrays in place.
         d0 = config.embed_dims[0]
-        self.bn_states = {
-            "embed.bn1": BatchNormState.create(d0 // 2),
-            "embed.bn2": BatchNormState.create(d0),
-        }
+        self.buffers: dict[str, np.ndarray] = {}
+        for name, channels in (("embed.bn1", d0 // 2), ("embed.bn2", d0)):
+            self.buffers[name + ".running_mean"] = np.zeros(channels, dtype=np.float32)
+            self.buffers[name + ".running_var"] = np.ones(channels, dtype=np.float32)
         self.training = True
         self._masks = [local_attention_mask(h, w, *config.window)
                        for h, w, _ in config.stage_geometry()]
         self._dropout_seed = seed
         self._dropout_calls = 0
-        self.attention_maps: dict[tuple, np.ndarray] = {}
 
     # -- mode and rng -------------------------------------------------------
 
@@ -199,15 +199,6 @@ class SvtrModel:
             return x
         return T.dropout(x, rate, self._dropout_rng())
 
-    # -- state access -------------------------------------------------------
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, st in self.bn_states.items():
-            out[name + ".running_mean"] = st.running_mean
-            out[name + ".running_var"] = st.running_var
-        return out
-
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
@@ -215,24 +206,22 @@ class SvtrModel:
     # -- forward pieces -----------------------------------------------------
 
     def patch_embed(self, images: Tensor) -> Tensor:
-        p = self.params
-        x = T.conv2d(images, p["embed.conv1.weight"], p["embed.conv1.bias"],
-                     stride=(2, 2))
-        x = T.batchnorm2d(x, p["embed.bn1.gamma"], p["embed.bn1.beta"],
-                          self.bn_states["embed.bn1"], self.training)
-        x = T.gelu(x)
-        x = T.conv2d(x, p["embed.conv2.weight"], p["embed.conv2.bias"],
-                     stride=(2, 2))
-        x = T.batchnorm2d(x, p["embed.bn2.gamma"], p["embed.bn2.beta"],
-                          self.bn_states["embed.bn2"], self.training)
-        x = T.gelu(x)
+        p, buf = self.params, self.buffers
+        x = images
+        for i in (1, 2):
+            x = T.conv2d(x, p[f"embed.conv{i}.weight"], p[f"embed.conv{i}.bias"],
+                         stride=(2, 2))
+            x = T.batchnorm2d(x, p[f"embed.bn{i}.gamma"], p[f"embed.bn{i}.beta"],
+                              buf[f"embed.bn{i}.running_mean"],
+                              buf[f"embed.bn{i}.running_var"], self.training)
+            x = T.gelu(x)
         b, d0, h, w = x.shape
         x = T.transpose(T.reshape(x, (b, d0, h * w)), (0, 2, 1))
         x = x + p["embed.pos"]
         return self._drop(x, self.config.dropout_rate)
 
     def mixing_block(self, x: Tensor, prefix: str, heads: int,
-                     mask: np.ndarray | None, capture_key: tuple | None = None) -> Tensor:
+                     mask: np.ndarray | None, attention: dict | None = None) -> Tensor:
         p = self.params
         cfg = self.config
         b, n, d = x.shape
@@ -248,8 +237,8 @@ class SvtrModel:
         if mask is not None:
             scores = T.apply_attention_mask(scores, mask)
         attn = T.softmax(scores)
-        if capture_key is not None:
-            self.attention_maps[capture_key] = attn.data.copy()
+        if attention is not None:
+            attention[prefix] = attn.data.copy()
         attn = self._drop(attn, cfg.attn_dropout_rate)
         out = T.matmul(attn, v)                                   # [b, heads, n, dh]
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, n, d))
@@ -292,8 +281,13 @@ class SvtrModel:
 
     # -- full forward -------------------------------------------------------
 
-    def forward(self, images, capture_attention: bool = False) -> Tensor:
-        """images [b, 3, H, W] -> logits [b, W/4, charset_size]."""
+    def forward(self, images, attention: dict | None = None) -> Tensor:
+        """images [b, 3, H, W] -> logits [b, W/4, charset_size].
+
+        Given an ``attention`` dict, each mixing block stores a copy of its
+        post-softmax attention, [b, heads, n, n], under its parameter prefix
+        (``"stage2.block0."``); the model itself keeps none of it.
+        """
         cfg = self.config
         if not isinstance(images, Tensor):
             images = Tensor(np.asarray(images, dtype=self.dtype))
@@ -305,8 +299,6 @@ class SvtrModel:
                 f"expected input [b, 3, {cfg.input_h}, {cfg.input_w}], got {images.shape}")
         if not np.isfinite(images.data).all():
             raise ContractError(f"input batch {images.shape} holds NaN or infinite values")
-        if capture_attention:
-            self.attention_maps = {}
 
         x = self.patch_embed(images)
         geometry = cfg.stage_geometry()
@@ -315,9 +307,8 @@ class SvtrModel:
             kinds = cfg.stage_permutation(stage)
             for block, kind in enumerate(kinds):
                 mask = self._masks[stage] if kind == LOCAL else None
-                key = (stage + 1, block) if capture_attention else None
                 x = self.mixing_block(x, f"stage{stage + 1}.block{block}.",
-                                      cfg.heads[stage], mask, capture_key=key)
+                                      cfg.heads[stage], mask, attention)
             if stage < 2:
                 x = self.merging(x, stage + 1, h, w)
         h, w, _ = geometry[2]
@@ -325,24 +316,30 @@ class SvtrModel:
         return T.matmul(x, self.params["head.weight"], self.params["head.bias"])
 
 
-def export_attention(model: SvtrModel, image, stage: int, block: int,
-                     query_index: int) -> np.ndarray:
-    """Every head's post-softmax attention row for one query, from one eval
-    forward, each reshaped to the stage grid: [heads, h, w]."""
+def export_attention(model: SvtrModel, image, stage: int, block: int):
+    """One block's post-softmax attention and the logits, from one eval
+    forward of a batch of one image [1, 3, H, W].
+
+    Returns ``(maps, logits)``: ``maps[head, query]`` is that query's row
+    over the stage grid, [heads, h*w, h, w], and ``logits`` the forward's
+    [1, W/4, charset_size] array.
+    """
     cfg = model.config
     if not 1 <= stage <= 3:
         raise ContractError(f"stage {stage} out of range 1..3")
     if not 0 <= block < cfg.depths[stage - 1]:
         raise ContractError(f"block {block} out of range for stage {stage}")
+    if np.shape(image)[:1] != (1,):
+        raise ContractError(f"export_attention takes a batch of one image, "
+                            f"got shape {np.shape(image)}")
     h, w, _ = cfg.stage_geometry()[stage - 1]
-    if not 0 <= query_index < h * w:
-        raise ContractError(f"query {query_index} out of range for {h}x{w} grid")
 
+    attention: dict[str, np.ndarray] = {}
     was_training = model.training
     model.eval()
     try:
-        model.forward(image, capture_attention=True)
+        logits = model.forward(image, attention)
     finally:
         model.training = was_training
-    maps = model.attention_maps[(stage, block)]
-    return maps[0, :, query_index].reshape(-1, h, w)
+    maps = attention[f"stage{stage}.block{block}."][0]
+    return maps.reshape(-1, h * w, h, w), logits.data

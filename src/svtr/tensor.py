@@ -23,7 +23,6 @@ graph as it goes, so each forward supports one backward.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -517,20 +516,11 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _make(out_data, (x, gamma, beta), bwd)
 
 
-@dataclass
-class BatchNormState:
-    """Running statistics for one BatchNorm layer."""
-    running_mean: np.ndarray
-    running_var: np.ndarray
-
-    @classmethod
-    def create(cls, channels: int):
-        return cls(np.zeros(channels, dtype=np.float32), np.ones(channels, dtype=np.float32))
-
-
-def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
-                state: BatchNormState, training: bool) -> Tensor:
-    """Per-channel normalization over (batch, h, w); updates running stats in training."""
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                running_var: np.ndarray, training: bool) -> Tensor:
+    """Per-channel normalization over (batch, h, w).  In training it uses the
+    batch statistics and updates the f32 ``running_mean`` and ``running_var``
+    in place; in eval it normalizes with them and leaves them as they are."""
     if x.data.ndim != 4:
         raise ShapeError(f"batchnorm2d expects rank 4, got shape {x.shape}")
     c = x.shape[1]
@@ -544,11 +534,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         mu = x64.mean(axis=(0, 2, 3))
         var = x64.var(axis=(0, 2, 3))
         m = BN_MOMENTUM
-        state.running_mean = (m * state.running_mean + (1 - m) * mu).astype(np.float32)
-        state.running_var = (m * state.running_var + (1 - m) * var).astype(np.float32)
+        running_mean[...] = m * running_mean + (1 - m) * mu
+        running_var[...] = m * running_var + (1 - m) * var
     else:
-        mu = _wide(state.running_mean)
-        var = _wide(state.running_var)
+        mu = _wide(running_mean)
+        var = _wide(running_var)
     mu = mu.reshape(1, c, 1, 1)
     inv = (1.0 / np.sqrt(var + NORM_EPS)).reshape(1, c, 1, 1)
     out_data = ((x64 - mu) * inv * gam + bet).astype(x.dtype)

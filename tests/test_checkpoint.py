@@ -37,7 +37,7 @@ def test_roundtrip_bit_exact(model, tmp_path):
     assert data.config == model.config
     for name, p in model.params.items():
         np.testing.assert_array_equal(data.params[name], p.data)
-    for name, buf in model.named_buffers().items():
+    for name, buf in model.buffers.items():
         np.testing.assert_array_equal(data.buffers[name], buf)
 
 
@@ -58,7 +58,7 @@ def test_restored_arrays_are_private_and_writable(model, tmp_path):
     for name, p in restored.params.items():
         assert p.data.flags.writeable
         assert not np.shares_memory(p.data, data.params[name])
-    for name, buf in restored.named_buffers().items():
+    for name, buf in restored.buffers.items():
         assert buf.flags.writeable
         assert not np.shares_memory(buf, data.buffers[name])
 
@@ -113,13 +113,13 @@ def test_restore_draws_no_initialization(model, tmp_path, monkeypatch):
     restored, _ = restore_model(path)
     for name, p in model.params.items():
         np.testing.assert_array_equal(restored.params[name].data, p.data)
-    for name, buf in model.named_buffers().items():
-        np.testing.assert_array_equal(restored.named_buffers()[name], buf)
+    for name, buf in model.buffers.items():
+        np.testing.assert_array_equal(restored.buffers[name], buf)
 
 
 def test_from_state_rejects_missing_and_misshapen_tensors(model):
     params = {name: p.data for name, p in model.params.items()}
-    buffers = model.named_buffers()
+    buffers = dict(model.buffers)
     del params["head.bias"]
     with pytest.raises(ContractError, match="head.bias"):
         SvtrModel.from_state(model.config, params, buffers)

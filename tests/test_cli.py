@@ -257,22 +257,28 @@ def test_infer_dump_logits_rejects_a_repeated_image(capsys, trained, tmp_path):
     assert not dump.exists()
 
 
-def test_attn_dump_char_queries_the_centre_row_of_the_first_column_predicting_it(
-        capsys, trained, tmp_path):
+def _predicted_char(trained):
+    """The first image, the character the trained model predicts in its last
+    column, and the first column predicting that character."""
     image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
-    checkpoint = trained / "ckpt" / "last.ckpt"
     config = PRESETS["svtr-micro"]
-    model, _ = restore_model(checkpoint, expected_config=config)
+    model, _ = restore_model(trained / "ckpt" / "last.ckpt", expected_config=config)
     model.eval()
     logits = model.forward(load_image(image, config.input_h, config.input_w)[None])
     path = np.argmax(logits.data[0], axis=-1)
     target = int(path[-1])
     assert target != 0, "the last column must predict a character"
     column = int(np.nonzero(path == target)[0][0])
-    char = Charset().decode(LabelSeq((target,)))
-    h, w, _ = config.stage_geometry()[1]
+    return image, Charset().decode(LabelSeq((target,))), column
+
+
+def test_attn_dump_char_queries_the_centre_row_of_the_first_column_predicting_it(
+        capsys, trained, tmp_path):
+    image, char, column = _predicted_char(trained)
+    h, w, _ = PRESETS["svtr-micro"].stage_geometry()[1]
     code, out, _ = run(capsys, "attn-dump", "--config", "svtr-micro",
-                       "--checkpoint", str(checkpoint), "--image", str(image),
+                       "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                       "--image", str(image),
                        "--stage", "2", "--block", "0", "--head", "0", "--char", char,
                        "--out", str(tmp_path))
     assert code == 0
@@ -340,8 +346,11 @@ def test_attn_dump_writes_one_file_per_head(capsys, trained, tmp_path):
         assert heatmap.max() <= 1.0
 
 
+@pytest.mark.parametrize("query", ["query", "char"])
 def test_attn_dump_exports_every_head_from_one_forward(capsys, trained, tmp_path,
-                                                     monkeypatch):
+                                                     monkeypatch, query):
+    image, char, _ = _predicted_char(trained)
+    query_args = ("--query", "0") if query == "query" else ("--char", char)
     calls = []
     forward = SvtrModel.forward
 
@@ -350,11 +359,10 @@ def test_attn_dump_exports_every_head_from_one_forward(capsys, trained, tmp_path
         return forward(self, *args, **kwargs)
 
     monkeypatch.setattr(SvtrModel, "forward", counted)
-    image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
     code, out, _ = run(capsys, "attn-dump", "--config", "svtr-micro",
                        "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
                        "--image", str(image), "--stage", "2", "--block", "0",
-                       "--query", "0", "--out", str(tmp_path))
+                       *query_args, "--out", str(tmp_path))
     assert code == 0 and len(out.splitlines()) == 2
     assert len(calls) == 1
 

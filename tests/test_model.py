@@ -241,9 +241,47 @@ def test_permutation_order_does_not_change_shape():
 def test_exported_attention_is_a_distribution():
     model = micro_model()
     image = np.random.default_rng(7).uniform(size=(1, 3, 16, 32)).astype(np.float32)
-    rows = export_attention(model, image, stage=2, block=0, query_index=5)
-    assert rows.shape == (2, 2, 8)
-    np.testing.assert_allclose(rows.sum(axis=(1, 2)), 1.0, atol=1e-5)
+    maps, logits = export_attention(model, image, stage=2, block=0)
+    assert maps.shape == (2, 16, 2, 8)
+    assert logits.shape == (1, 8, model.config.charset_size)
+    np.testing.assert_allclose(maps.sum(axis=(2, 3)), 1.0, atol=1e-5)
+
+
+def test_exported_logits_are_the_eval_forward_logits():
+    model = micro_model().train()
+    image = np.random.default_rng(7).uniform(size=(1, 3, 16, 32)).astype(np.float32)
+    _, logits = export_attention(model, image, stage=1, block=0)
+    assert model.training
+    np.testing.assert_array_equal(logits, model.eval().forward(image).data)
+
+
+@pytest.mark.parametrize("batch", [0, 2])
+def test_export_attention_takes_a_batch_of_one_image(batch):
+    model = micro_model()
+    images = np.random.default_rng(7).uniform(size=(batch, 3, 16, 32)).astype(np.float32)
+    with pytest.raises(ContractError, match="one image"):
+        export_attention(model, images, stage=2, block=0)
+
+
+def test_a_read_leaves_no_state_on_the_model():
+    model = micro_model()
+    image = np.random.default_rng(7).uniform(size=(1, 3, 16, 32)).astype(np.float32)
+    keys = set(vars(model))
+    buffers = dict(model.buffers)
+
+    def assert_state_unchanged():
+        assert set(vars(model)) == keys
+        assert list(model.buffers) == list(buffers)
+        assert all(model.buffers[name] is buf for name, buf in buffers.items())
+
+    export_attention(model, image, stage=2, block=0)
+    assert_state_unchanged()
+    attention = {}
+    model.train().forward(image, attention)
+    assert_state_unchanged()
+    assert list(attention) == ["stage1.block0.", "stage2.block0.", "stage3.block0."]
+    assert [a.shape for a in attention.values()] == [(1, 1, 32, 32), (1, 2, 16, 16),
+                                                    (1, 2, 8, 8)]
 
 
 def test_exported_local_attention_zero_outside_window():
@@ -251,9 +289,10 @@ def test_exported_local_attention_zero_outside_window():
     model = SvtrModel(config, seed=0).eval()
     h, w, _ = config.stage_geometry()[0]
     query = 0
-    grid = export_attention(model, np.random.default_rng(8)
-                            .uniform(size=(1, 3, 16, 32)).astype(np.float32),
-                            stage=1, block=0, query_index=query)[0]
+    maps, _ = export_attention(model, np.random.default_rng(8)
+                               .uniform(size=(1, 3, 16, 32)).astype(np.float32),
+                               stage=1, block=0)
+    grid = maps[0, query]
     mask = local_attention_mask(h, w, *config.window)[query].reshape(h, w)
     assert (grid[~mask] == 0).all()
     assert (grid[mask] > 0).all()
@@ -270,7 +309,8 @@ def test_zero_qk_weights_give_uniform_attention():
     model.params["stage2.block0.attn.qkv.bias"].data = \
         np.zeros_like(model.params["stage2.block0.attn.qkv.bias"].data)
     image = np.random.default_rng(9).uniform(size=(1, 3, 16, 32)).astype(np.float32)
-    grid = export_attention(model, image, stage=2, block=0, query_index=3)[0]
+    maps, _ = export_attention(model, image, stage=2, block=0)
+    grid = maps[0, 3]
     np.testing.assert_allclose(grid, 1.0 / grid.size, atol=1e-6)
 
 
@@ -308,6 +348,7 @@ def test_exported_attention_matches_numpy_heads_of_qkv_column_blocks():
     heads = config.heads[1]
     dh = d // heads
     assert heads == 2
+    maps, _ = export_attention(model, image, stage=2, block=0)
     for head in range(heads):
         q = qkv[:, head * dh:(head + 1) * dh]
         k = qkv[:, d + head * dh:d + (head + 1) * dh]
@@ -315,15 +356,13 @@ def test_exported_attention_matches_numpy_heads_of_qkv_column_blocks():
         attn = np.exp(scores - scores.max(-1, keepdims=True))
         attn /= attn.sum(-1, keepdims=True)
         for query in range(h * w):
-            grid = export_attention(model, image, stage=2, block=0, query_index=query)[head]
-            np.testing.assert_allclose(grid, attn[query].reshape(h, w), rtol=0, atol=1e-5)
+            np.testing.assert_allclose(maps[head, query], attn[query].reshape(h, w),
+                                       rtol=0, atol=1e-5)
 
 
 def test_out_of_range_export_indices():
     model = micro_model()
     image = np.zeros((1, 3, 16, 32), dtype=np.float32)
-    for kwargs in [dict(stage=4, block=0, query_index=0),
-                   dict(stage=1, block=1, query_index=0),
-                   dict(stage=1, block=0, query_index=10_000)]:
+    for kwargs in [dict(stage=4, block=0), dict(stage=1, block=1)]:
         with pytest.raises(ContractError):
             export_attention(model, image, **kwargs)

@@ -10,7 +10,7 @@ from scipy.special import erf
 from svtr import tensor as T
 from svtr.ctc import LabelSeq, ctc_loss
 from svtr.exceptions import ContractError, ShapeError
-from svtr.tensor import BatchNormState, Tensor
+from svtr.tensor import Tensor
 
 
 def test_tensor_default_dtype_is_f32():
@@ -134,35 +134,60 @@ def test_layernorm_two_point_symmetry():
     np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-3)
 
 
+def _running_stats(channels):
+    """Fresh BatchNorm running statistics: mean 0, variance 1, f32."""
+    return np.zeros(channels, dtype=np.float32), np.ones(channels, dtype=np.float32)
+
+
 def test_batchnorm_identity_on_standardized_batch():
     # channel already has mean 0 / var 1, affine identity
     x = np.zeros((4, 2, 1, 1), dtype=np.float32)
     x[:, 0, 0, 0] = [-1.0, 1.0, -1.0, 1.0]
     x[:, 1, 0, 0] = [-1.0, -1.0, 1.0, 1.0]
-    state = BatchNormState.create(2)
     out = T.batchnorm2d(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                        state, training=True)
+                        *_running_stats(2), training=True)
     np.testing.assert_allclose(out.data, x, atol=1e-3)
 
 
 def test_batchnorm_two_element_symmetry():
     x = np.zeros((2, 1, 1, 1), dtype=np.float32)
     x[:, 0, 0, 0] = [0.0, 2.0]
-    state = BatchNormState.create(1)
     out = T.batchnorm2d(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                        state, training=True)
+                        *_running_stats(1), training=True)
     np.testing.assert_allclose(out.data[:, 0, 0, 0], [-1.0, 1.0], atol=1e-3)
 
 
 def test_batchnorm_running_stats_update_only_in_training():
     x = Tensor(np.random.default_rng(1).normal(size=(4, 3, 2, 2)))
     gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
-    state = BatchNormState.create(3)
-    before = state.running_mean.copy()
-    T.batchnorm2d(x, gamma, beta, state, training=False)
-    np.testing.assert_array_equal(state.running_mean, before)
-    T.batchnorm2d(x, gamma, beta, state, training=True)
-    assert not np.array_equal(state.running_mean, before)
+    mean, var = _running_stats(3)
+    before = mean.copy()
+    T.batchnorm2d(x, gamma, beta, mean, var, training=False)
+    np.testing.assert_array_equal(mean, before)
+    T.batchnorm2d(x, gamma, beta, mean, var, training=True)
+    assert not np.array_equal(mean, before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batchnorm_updates_the_running_stats_it_was_given_in_place(dtype):
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(1.0, 2.0, size=(4, 3, 2, 5)).astype(dtype))
+    gamma, beta = Tensor(np.ones(3, dtype)), Tensor(np.zeros(3, dtype))
+    mean = rng.normal(size=3).astype(np.float32)
+    var = rng.uniform(0.5, 2.0, size=3).astype(np.float32)
+    frozen = mean.copy(), var.copy()
+    T.batchnorm2d(x, gamma, beta, mean, var, training=False)
+    assert mean.tobytes() == frozen[0].tobytes() and var.tobytes() == frozen[1].tobytes()
+
+    # The arrays that were passed in hold the new statistics.
+    T.batchnorm2d(x, gamma, beta, mean, var, training=True)
+    x64 = x.data.astype(np.float64)
+    m = T.BN_MOMENTUM
+    expected_mean = (m * frozen[0] + (1 - m) * x64.mean(axis=(0, 2, 3))).astype(np.float32)
+    expected_var = (m * frozen[1] + (1 - m) * x64.var(axis=(0, 2, 3))).astype(np.float32)
+    assert mean.dtype == var.dtype == np.float32
+    assert mean.tobytes() == expected_mean.tobytes()
+    assert var.tobytes() == expected_var.tobytes()
 
 
 def _layernorm_keeping_xhat(x, gamma, beta, g):
@@ -233,9 +258,9 @@ def test_batchnorm2d_rebuilds_xhat_bitwise(dtype, training):
     g = rng.normal(size=(3, 4, 2, 5)).astype(dtype)
     mean = rng.normal(size=4).astype(np.float32)
     var = rng.uniform(0.5, 2.0, size=4).astype(np.float32)
-    state = BatchNormState(mean.copy(), var.copy())
+    running = mean.copy(), var.copy()
     _assert_norm_matches(
-        lambda x, gamma, beta: T.batchnorm2d(x, gamma, beta, state, training),
+        lambda x, gamma, beta: T.batchnorm2d(x, gamma, beta, *running, training),
         lambda x, gamma, beta, g: _batchnorm_keeping_xhat(x, gamma, beta, g, mean, var, training),
         arrays, g)
 

@@ -101,14 +101,14 @@ def test_checkpoints_and_log_written(tmp_path):
 def test_bn_stats_move_during_training_not_eval():
     model = SvtrModel(micro_config(), seed=3)
     x = np.random.default_rng(0).uniform(size=(2, 3, 16, 32)).astype(np.float32)
-    stats = model.bn_states["embed.bn1"]
-    frozen = stats.running_mean.copy()
+    running_mean = model.buffers["embed.bn1.running_mean"]
+    frozen = running_mean.copy()
     model.eval()
     model.forward(x)
-    np.testing.assert_array_equal(stats.running_mean, frozen)
+    np.testing.assert_array_equal(running_mean, frozen)
     model.train()
     model.forward(x)
-    assert not np.array_equal(stats.running_mean, frozen)
+    assert not np.array_equal(running_mean, frozen)
 
 
 def test_evaluate_empty_dataset():
