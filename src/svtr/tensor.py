@@ -18,6 +18,12 @@ soon as their last reader is done with them, not when backward ends.
 ``backward`` replays the rules in reverse execution order (node creation
 order), which makes gradient accumulation deterministic, and frees the
 graph as it goes, so each forward supports one backward.
+
+A leaf's node may hold a ``slot``: a view of a flat gradient buffer that
+``optim.AdamW`` allocates when it packs the parameters.  A packed leaf's
+first gradient is copied into its slot, later ones are added to it in
+place, and ``.grad = value`` writes into it.  Slots are disjoint views, so
+no two parameters share a ``grad``.
 """
 
 from __future__ import annotations
@@ -41,12 +47,14 @@ BN_MOMENTUM = 0.9
 
 class _Node:
     """The graph vertex of a tensor that requires grad: its gradient, the
-    nodes of its op's inputs and its backward rule (none on a leaf)."""
+    nodes of its op's inputs and its backward rule (none on a leaf), and on
+    a packed leaf the ``slot`` its gradient lives in."""
 
-    __slots__ = ("grad", "dtype", "_parents", "_backward_fn", "_id")
+    __slots__ = ("grad", "slot", "dtype", "_parents", "_backward_fn", "_id")
 
     def __init__(self, dtype, parents: tuple = (), backward_fn=None):
         self.grad: np.ndarray | None = None
+        self.slot: np.ndarray | None = None
         self.dtype = dtype
         self._parents = parents
         self._backward_fn = backward_fn
@@ -103,7 +111,12 @@ class Tensor:
 
     @grad.setter
     def grad(self, value):
-        self._require_node("assign .grad to").grad = value
+        node = self._require_node("assign .grad to")
+        if value is None or node.slot is None:
+            node.grad = value
+        else:
+            node.slot[...] = value
+            node.grad = node.slot
 
     @property
     def _parents(self) -> tuple:
@@ -193,11 +206,20 @@ def _accumulate(node: _Node | None, g: np.ndarray):
     """Add ``g`` to the gradient of ``node``; None (no grad) ignores it."""
     if node is None:
         return
-    if node.grad is None:
+    if node.slot is not None:
+        # A packed leaf: the first gradient is copied into the slot and later
+        # ones are added to it in place.
+        if node.grad is None:
+            node.slot[...] = g
+            node.grad = node.slot
+        else:
+            node.grad += g.astype(node.dtype, copy=False)
+    elif node.grad is None:
         # C order, because the layout of a transposed gradient would change
         # the BLAS rounding of later GEMMs.  An interior node takes a fresh
-        # C-ordered array as is (no rule writes into a gradient in place); a
-        # leaf keeps a private copy, so no two parameters share a ``grad``.
+        # C-ordered array as is: no rule writes into a gradient in place, and
+        # two nodes may hold views of one array.  A leaf no optimizer packed
+        # keeps a private copy.
         if node._parents:
             node.grad = np.asarray(g, dtype=node.dtype, order="C")
         else:
@@ -459,7 +481,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
             f"conv2d output size {oh}x{ow} non-positive for input {h}x{w}, "
             f"kernel {kh}x{kw}, stride {sh}x{sw}, pad {ph}x{pw}")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.zeros((b, ci, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + h, pw:pw + w] = x.data
     cols = _im2col(xp, kh, kw, sh, sw, oh, ow)                       # [b, ci*kh*kw, oh*ow]
     wf = weight.data.reshape(co, ci * kh * kw)
     out_data = np.matmul(_wide(wf), _wide(cols)).astype(x.dtype)     # [b, co, oh*ow]
@@ -473,6 +496,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
         gw = np.matmul(gf, _wide(cols).swapaxes(1, 2)).sum(axis=0).reshape(co, ci, kh, kw)
         _accumulate(wn, gw)
         _accumulate(bn, g.sum(axis=(0, 2, 3)))
+        if xn is None:
+            # An input that requires no grad (the image batch of the first
+            # conv) gets no input-gradient work.
+            return
         gcols = np.matmul(_wide(wf).T, gf)                           # [b, ci*kh*kw, oh*ow]
         gcols = gcols.reshape(b, ci, kh, kw, oh, ow)
         gxp = np.zeros(xp_shape)
@@ -488,16 +515,30 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
 
 # -- normalization ----------------------------------------------------------
 
+def _moments(x: np.ndarray, axis, n: int):
+    """Mean, centered input and biased variance over ``axis``, which holds
+    ``n`` elements, all in f64; the statistics keep size-1 axes.  Bitwise
+    equal to the ``mean`` and ``var`` of ``x`` in f64 (the same sums and
+    divisions in the same order), with the input centered once for both.
+    The centered input is a fresh array the caller may overwrite."""
+    xc = x.astype(np.float64)
+    mu = np.add.reduce(xc, axis=axis, keepdims=True) / n
+    xc -= mu
+    return mu, xc, np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
+
+
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layernorm affine shape {gamma.shape}/{beta.shape} does not match last dim {d}")
     xd, gd = x.data, gamma.data
-    x64 = _wide(xd)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
+    mu, y, var = _moments(xd, -1, d)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
-    out_data = ((x64 - mu) * inv * _wide(gd) + _wide(beta.data)).astype(x.dtype)
+    # (x - mu) * inv * gamma + beta, in place.
+    y *= inv
+    y *= _wide(gd)
+    y += _wide(beta.data)
+    out_data = y.astype(x.dtype)
     xn, gn, bn = x._node, gamma._node, beta._node
 
     def bwd(g):
@@ -527,22 +568,25 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d affine shape {gamma.shape}/{beta.shape} does not match channels {c}")
     xd = x.data
-    x64 = _wide(xd)
     gam = _wide(gamma.data).reshape(1, c, 1, 1)
     bet = _wide(beta.data).reshape(1, c, 1, 1)
-    if training:
-        mu = x64.mean(axis=(0, 2, 3))
-        var = x64.var(axis=(0, 2, 3))
-        m = BN_MOMENTUM
-        running_mean[...] = m * running_mean + (1 - m) * mu
-        running_var[...] = m * running_var + (1 - m) * var
-    else:
-        mu = _wide(running_mean)
-        var = _wide(running_var)
-    mu = mu.reshape(1, c, 1, 1)
-    inv = (1.0 / np.sqrt(var + NORM_EPS)).reshape(1, c, 1, 1)
-    out_data = ((x64 - mu) * inv * gam + bet).astype(x.dtype)
     n = x.shape[0] * x.shape[2] * x.shape[3]
+    if training:
+        mu, y, var = _moments(xd, (0, 2, 3), n)
+        m = BN_MOMENTUM
+        running_mean[...] = m * running_mean + (1 - m) * mu.reshape(c)
+        running_var[...] = m * running_var + (1 - m) * var.reshape(c)
+    else:
+        mu = _wide(running_mean).reshape(1, c, 1, 1)
+        var = _wide(running_var).reshape(1, c, 1, 1)
+        y = xd.astype(np.float64)
+        y -= mu
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    # (x - mu) * inv * gamma + beta, in place.
+    y *= inv
+    y *= gam
+    y += bet
+    out_data = y.astype(x.dtype)
     xn, gn, bn = x._node, gamma._node, beta._node
 
     def bwd(g):

@@ -122,6 +122,20 @@ def test_conv2d_stride_two_geometry():
     assert out.shape == (2, 8, 16, 64)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv2d_weight_grads_do_not_depend_on_the_input_requiring_grad(dtype):
+    rng = np.random.default_rng(24)
+    x, g, wd, bd = (rng.normal(size=s).astype(dtype)
+                    for s in ((2, 3, 8, 12), (2, 4, 4, 6), (4, 3, 3, 3), (4,)))
+    grads = []
+    for requires_grad in (False, True):
+        w, b = Tensor(wd.copy(), requires_grad=True), Tensor(bd.copy(), requires_grad=True)
+        T.mul(T.conv2d(Tensor(x, requires_grad=requires_grad), w, b, stride=(2, 2)),
+              Tensor(g)).sum().backward()
+        grads.append((w.grad.tobytes(), b.grad.tobytes()))
+    assert grads[0] == grads[1]
+
+
 def test_layernorm_constant_row_is_zero():
     x = Tensor(np.full((2, 8), 3.0))
     out = T.layernorm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
@@ -263,6 +277,31 @@ def test_batchnorm2d_rebuilds_xhat_bitwise(dtype, training):
         lambda x, gamma, beta: T.batchnorm2d(x, gamma, beta, *running, training),
         lambda x, gamma, beta, g: _batchnorm_keeping_xhat(x, gamma, beta, g, mean, var, training),
         arrays, g)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, axis", [((3, 1), -1), ((2, 5, 8), -1), ((4, 7, 96), -1),
+                                         ((4, 3, 2, 5), (0, 2, 3)), ((2, 8, 4, 16), (0, 2, 3))])
+def test_norm_moments_are_bitwise_mean_and_var(dtype, shape, axis):
+    rng = np.random.default_rng(25)
+    for scale in (1e-3, 1.0, 1e3):
+        x = rng.normal(0.5, scale, size=shape).astype(dtype)
+        before = x.copy()
+        x64 = x.astype(np.float64)
+        mean = x64.mean(axis=axis, keepdims=True)
+        mu, xc, var = T._moments(x, axis, x.size // mean.size)
+        assert mu.tobytes() == mean.tobytes()
+        assert xc.tobytes() == (x64 - mean).tobytes()
+        assert var.tobytes() == x64.var(axis=axis, keepdims=True).tobytes()
+        assert x.tobytes() == before.tobytes() and not np.shares_memory(xc, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layernorm_of_one_feature_is_bitwise_the_mean_var_form(dtype):
+    rng = np.random.default_rng(26)
+    arrays = [rng.normal(size=s).astype(dtype) for s in ((4, 3, 1), (1,), (1,))]
+    g = rng.normal(size=(4, 3, 1)).astype(dtype)
+    _assert_norm_matches(T.layernorm, _layernorm_keeping_xhat, arrays, g)
 
 
 def test_softmax_uniform():
