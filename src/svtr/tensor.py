@@ -10,10 +10,10 @@ inputs and the backward rule but no forward array.  Every op builds its
 output through ``_make``, which links the new node to the nodes of the
 inputs that require grad.  A rule closes over those nodes, the shapes it
 needs and exactly the arrays it reads: ``matmul`` both operands, ``conv2d``
-the im2col columns and the weight, ``layernorm``, ``batchnorm2d`` and
-``gelu`` their input, ``mul`` the operand whose partner requires grad,
-``softmax`` and ``log_softmax`` their f64 output, ``dropout`` its mask, and
-every other op no input array.  So an intermediate's values are freed as
+the im2col columns and the weight, ``layernorm`` and ``batchnorm2d``
+their input, ``gelu`` its derivative, ``mul`` the operand whose partner
+requires grad, ``softmax`` and ``log_softmax`` their f64 output,
+``dropout`` its mask, and every other op no input array.  So an intermediate's values are freed as
 soon as their last reader is done with them, not when backward ends.
 ``backward`` replays the rules in reverse execution order (node creation
 order), which makes gradient accumulation deterministic, and frees the
@@ -288,15 +288,34 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Exact erf formulation: 0.5 * x * (1 + erf(x / sqrt(2)))."""
+    """Exact erf formulation: 0.5 * x * (1 + erf(x / sqrt(2))).
+
+    erf runs on |x / sqrt(2)|, where scipy's erf is faster, and ``copysign``
+    restores the sign: scipy's erf is exactly odd, so the bits are erf's (a
+    test pins this).  When the input requires grad, the derivative is
+    computed here and is the one array the rule keeps.
+    """
     xd = x.data
-    e = erf(xd * _INV_SQRT2).astype(xd.dtype)
-    out_data = 0.5 * xd * (1.0 + e)
+    z = xd * _INV_SQRT2
+    e = np.abs(z)
+    erf(e, out=e)
+    np.copysign(e, z, out=e)
+    e += 1.0  # 1 + erf
+    out_data = 0.5 * xd
+    out_data *= e
     xn = x._node
+    if xn is not None:
+        # d = 0.5 * (1 + erf) + x * exp(-0.5 * x * x) / sqrt(2 pi), in z's buffer.
+        d = np.multiply(xd, -0.5, out=z)
+        d *= xd
+        np.exp(d, out=d)
+        d *= xd
+        d *= _INV_SQRT_2PI
+        e *= 0.5
+        d += e
 
     def bwd(g):
-        d = 0.5 * (1.0 + e) + xd * np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        _accumulate(xn, g * d.astype(xd.dtype))
+        _accumulate(xn, np.multiply(g, d, out=d))
 
     return _make(out_data, (x,), bwd)
 
@@ -426,7 +445,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         d_in, d_out = b.shape
         out_data = (_wide(a.data.reshape(-1, d_in)) @ _wide(b.data)).astype(a.dtype)
         if bias is not None:
-            out_data = out_data + bias.data
+            out_data += bias.data
         parents = (a, b) if bias is None else (a, b, bias)
         bias_node, bias_shape = (None, None) if bias is None else (bias._node, bias.shape)
 
@@ -486,7 +505,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
     cols = _im2col(xp, kh, kw, sh, sw, oh, ow)                       # [b, ci*kh*kw, oh*ow]
     wf = weight.data.reshape(co, ci * kh * kw)
     out_data = np.matmul(_wide(wf), _wide(cols)).astype(x.dtype)     # [b, co, oh*ow]
-    out_data = out_data.reshape(b, co, oh, ow) + bias.data.reshape(1, co, 1, 1)
+    out_data = out_data.reshape(b, co, oh, ow)
+    out_data += bias.data.reshape(1, co, 1, 1)
     # The padded input is not kept: its gradient needs only its shape.
     xp_shape, xn, wn, bn = xp.shape, x._node, weight._node, bias._node
 
@@ -544,12 +564,17 @@ def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     def bwd(g):
         # x-hat is rebuilt from the input and the statistics rather than
         # kept from the forward: the same f64 operations give the same bits.
-        xhat = (_wide(xd) - mu) * inv
+        xhat = _wide(xd) - mu
+        xhat *= inv
         g64 = _wide(g)
         dxhat = g64 * _wide(gd)
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(xn, inv * (dxhat - m1 - xhat * m2))
+        # inv * (dxhat - m1 - xhat * m2), in place.
+        dxhat -= m1
+        dxhat -= xhat * m2
+        dxhat *= inv
+        _accumulate(xn, dxhat)
         axes = tuple(range(g64.ndim - 1))
         _accumulate(gn, (g64 * xhat).sum(axis=axes))
         _accumulate(bn, g64.sum(axis=axes))
@@ -591,19 +616,23 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
 
     def bwd(g):
         # x-hat is rebuilt from the input and the statistics, as in layernorm.
-        xhat = (_wide(xd) - mu) * inv
+        xhat = _wide(xd) - mu
+        xhat *= inv
         g64 = _wide(g)
         dxhat = g64 * gam
         axes = (0, 2, 3)
         _accumulate(gn, (g64 * xhat).sum(axis=axes))
         _accumulate(bn, g64.sum(axis=axes))
         if training:
+            # inv * (dxhat - s1 / n - xhat * s2 / n), in place.
             s1 = dxhat.sum(axis=axes, keepdims=True)
             s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-            gx = inv * (dxhat - s1 / n - xhat * s2 / n)
-        else:
-            gx = dxhat * inv
-        _accumulate(xn, gx)
+            dxhat -= s1 / n
+            xhat *= s2
+            xhat /= n
+            dxhat -= xhat
+        dxhat *= inv
+        _accumulate(xn, dxhat)
 
     return _make(out_data, (x, gamma, beta), bwd)
 
@@ -612,9 +641,10 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
 
 def softmax(x: Tensor) -> Tensor:
     x64 = _wide(x.data)
-    shifted = x64 - x64.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y64 = e / e.sum(axis=-1, keepdims=True)
+    # exp(x - max) / sum, in place on the one fresh array.
+    y64 = x64 - x64.max(axis=-1, keepdims=True)
+    np.exp(y64, out=y64)
+    y64 /= y64.sum(axis=-1, keepdims=True)
     out_data = y64.astype(x.dtype)
     xn = x._node
 

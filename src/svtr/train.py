@@ -148,8 +148,12 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
 
                 model.seed_dropout(seed * 1_000_003 + global_step)
                 model.zero_grad()
-                logits = model.forward(images)
-                loss = ctc_loss(T.log_softmax(logits), labels)
+                # A diverging step overflows on its way to a non-finite
+                # loss; the check below is its one report, not numpy's
+                # warnings.
+                with np.errstate(all="ignore"):
+                    logits = model.forward(images)
+                    loss = ctc_loss(T.log_softmax(logits), labels)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise ContractError(
@@ -162,7 +166,10 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
                 losses.append(value)
                 global_step += 1
 
-            report = evaluate(model, eval_set, batch_size=batch_size)
+            # The next step's loss check reports a model the last update
+            # blew up; its eval here would only warn first.
+            with np.errstate(all="ignore"):
+                report = evaluate(model, eval_set, batch_size=batch_size)
             lr_now = schedule.lr_at(global_step)
             metrics = EpochMetrics(epoch, global_step, lr_now,
                                    float(np.mean(losses)), report.word_accuracy)

@@ -132,6 +132,16 @@ def test_train_without_data_fits_a_synthetic_corpus(capsys, tmp_path):
     assert (tmp_path / "last.ckpt").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_diverging_train_is_one_error_line(capsys, tmp_path):
+    code, out, err = run(capsys, "train", "--config", "svtr-micro", "--synth", "4",
+                         "--epochs", "3", "--batch-size", "4", "--lr", "1e30",
+                         "--warmup-epochs", "0", "--out", str(tmp_path))
+    assert code == 1 and not out
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: training diverged: non-finite loss nan at step 1")
+
+
 def test_charset_of_another_size_is_one_error_line(capsys, tmp_path):
     charset = tmp_path / "charset.txt"
     charset.write_text("a\nb\nc\n", encoding="utf-8")

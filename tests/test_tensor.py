@@ -462,6 +462,7 @@ _INPUT_UNREAD = {
     "add": lambda x: T.add(x, _param(4)),
     "mul_by_constant": lambda x: x * 0.5,
     "dropout": lambda x: T.dropout(x, 0.5, np.random.default_rng(0)),
+    "gelu": T.gelu,
     "softmax": T.softmax,
     "log_softmax": T.log_softmax,
     "apply_attention_mask": lambda x: T.apply_attention_mask(x, np.eye(4, dtype=bool)),
@@ -473,7 +474,6 @@ _INPUT_UNREAD = {
 
 _INPUT_READ = {
     "matmul": lambda x: T.matmul(x, _param(4, 5)),
-    "gelu": T.gelu,
     "layernorm": lambda x: T.layernorm(x, _param(4), _param(4)),
 }
 
@@ -482,7 +482,7 @@ def _watched_intermediate_and_loss(op):
     """A loss through ``op`` applied to an intermediate, and a weak
     reference to the intermediate's values once no name holds them."""
     leaf = _param(2, 3, 4, 4)
-    x = T.gelu(leaf)  # gelu's rule reads its input, not its output
+    x = T.gelu(leaf)  # gelu's rule keeps its derivative, neither its input nor its output
     watched = weakref.ref(x.data)
     loss = T.tsum(op(x))
     return leaf, watched, loss
@@ -503,6 +503,17 @@ def test_an_input_a_rule_reads_lives_until_backward(name):
     loss.backward()
     assert watched() is None
     assert leaf.grad is not None
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_rule_keeps_one_array_shaped_like_its_input(dtype):
+    x = Tensor(np.linspace(-3, 3, 24, dtype=dtype).reshape(2, 3, 4), requires_grad=True)
+    rule = T.gelu(x)._node._backward_fn
+    kept = [c.cell_contents for c in rule.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+    assert len(kept) == 1
+    assert kept[0].shape == x.shape and kept[0].dtype == x.dtype
+    assert kept[0] is not x.data
 
 
 def test_ctc_loss_accumulates_into_a_leaf_across_graphs():

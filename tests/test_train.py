@@ -67,7 +67,7 @@ def test_bad_schedule_rejected(kwargs):
         train(model, tiny_dataset(), epochs=1, batch_size=8, **kwargs)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_weight_stops_training_at_step_zero():
     model = SvtrModel(micro_config(), seed=0)
     model.params["head.bias"].data[0] = np.nan
