@@ -46,7 +46,6 @@ from svtr.config import PRESETS  # noqa: E402
 from svtr.ctc import Charset  # noqa: E402
 from svtr.data import gen_dataset  # noqa: E402
 from svtr.model import SvtrModel  # noqa: E402
-from svtr.tensor import Tensor  # noqa: E402
 from svtr.train import train  # noqa: E402
 
 
@@ -98,7 +97,7 @@ def t_infer() -> str:
     model.eval()
     h = hashlib.sha256()
     for batch in (images, *(images[i:i + 1] for i in range(len(images)))):
-        h.update(model.forward(Tensor(batch)).data.tobytes())
+        h.update(model.forward(batch).data.tobytes())
     return h.hexdigest()
 
 

@@ -58,10 +58,6 @@ class FlopReport:
         """2-FLOP convention (multiply + add counted separately)."""
         return 2 * self.total_macs
 
-    @property
-    def quadratic_macs(self) -> int:
-        return sum(e.macs for e in self.entries if e.quadratic)
-
 
 def count_flops(config: SvtrConfig, input_h: int | None = None,
                 input_w: int | None = None,

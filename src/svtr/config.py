@@ -210,15 +210,6 @@ def parse_config_text(text: str, source: str = "<config>") -> SvtrConfig:
         raise type(exc)(f"{source}: {exc}") from None
 
 
-def format_config(config: SvtrConfig) -> str:
-    lines = []
-    for key, value in config.to_dict().items():
-        if isinstance(value, (tuple, list)):
-            value = ",".join(str(v) for v in value)
-        lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(spec: str) -> SvtrConfig:
     """Resolve a preset name or a config file path."""
     if spec in PRESETS:

@@ -36,12 +36,13 @@ class Charset:
         return len(self.symbols) + 1
 
     def encode(self, text: str) -> "LabelSeq":
-        indices = []
-        for ch in text.lower():
-            if ch not in self._index:
-                raise DatasetError(f"character {ch!r} not in charset")
-            indices.append(self._index[ch])
-        return LabelSeq(tuple(indices))
+        """Case-insensitive; one ``DatasetError`` names every unknown symbol."""
+        lowered = text.lower()
+        unknown = sorted(set(lowered) - self._index.keys())
+        if unknown:
+            raise DatasetError(f"{text!r} contains characters outside the charset: "
+                               f"{', '.join(repr(c) for c in unknown)}")
+        return LabelSeq(tuple(self._index[ch] for ch in lowered))
 
     def decode(self, label: "LabelSeq") -> str:
         return "".join(self.symbols[i - 1] for i in label.indices)
@@ -94,10 +95,16 @@ def collapse(path) -> tuple[int, ...]:
 
 
 def greedy_decode(logits) -> list[LabelSeq]:
-    """Per-timestep argmax (ties to the lower class index) followed by collapse."""
+    """Per-timestep argmax (ties to the lower class index) followed by collapse.
+
+    Logits that hold NaN or infinite values, the output of a blown-up model,
+    raise ``ContractError``: no argmax of them is a prediction."""
     data = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     if data.ndim != 3:
         raise ContractError(f"greedy_decode expects [b, T, N] logits, got {data.shape}")
+    if not np.isfinite(data).all():
+        raise ContractError(f"logits {data.shape} hold NaN or infinite values: "
+                            "the model's weights have blown up")
     paths = np.argmax(data, axis=-1)
     return [LabelSeq(collapse(row)) for row in paths]
 

@@ -19,15 +19,7 @@ from .exceptions import ContractError, DatasetError, RenderError
 GLYPH_SCALE = 2     # preferred integer glyph scale; shrunk to fit
 CONTRAST = 0.8      # ink/background separation in [0, 1]
 JITTER = 1          # each glyph moves by up to this many pixels along each axis
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    noise_sigma: float = 0.02
-
-    def __post_init__(self):
-        if not 0.0 <= self.noise_sigma < np.inf:
-            raise ContractError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+NOISE_SIGMA = 0.02  # standard deviation of the additive Gaussian pixel noise
 
 
 @dataclass(frozen=True)
@@ -45,10 +37,13 @@ def _row_width(n_glyphs: int, scale: int) -> int:
     return n_glyphs * _advance(scale) - scale
 
 
-def render_text(text: str, h: int, w: int, style: RenderStyle | None = None,
+def render_text(text: str, h: int, w: int, noise_sigma: float = NOISE_SIGMA,
                 seed: int = 0) -> np.ndarray:
-    """Render dark glyphs on a light background; pure in (text, style, seed)."""
-    style = style or RenderStyle()
+    """Render dark glyphs on a light background, plus Gaussian noise of
+    standard deviation ``noise_sigma`` (finite and >= 0, else
+    ``ContractError``); pure in (text, noise_sigma, seed)."""
+    if not 0.0 <= noise_sigma < np.inf:
+        raise ContractError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     bg = 0.5 + CONTRAST / 2
     ink = 0.5 - CONTRAST / 2
@@ -73,15 +68,15 @@ def render_text(text: str, h: int, w: int, style: RenderStyle | None = None,
             region[mask] = ink
             x += _advance(scale)
 
-    if style.noise_sigma > 0:
-        canvas = canvas + rng.normal(0.0, style.noise_sigma, size=canvas.shape)
+    if noise_sigma > 0:
+        canvas = canvas + rng.normal(0.0, noise_sigma, size=canvas.shape)
     canvas = np.clip(canvas, 0.0, 1.0).astype(np.float32)
     return np.repeat(canvas[None, :, :], 3, axis=0)
 
 
 def gen_dataset(n: int, charset: Charset, len_range: tuple[int, int],
                 h: int, w: int, seed: int = 42,
-                style: RenderStyle | None = None) -> list[LabeledSample]:
+                noise_sigma: float = NOISE_SIGMA) -> list[LabeledSample]:
     """n reproducible samples with uniform label lengths and symbols."""
     lo, hi = len_range
     if lo < 1 or hi < lo:
@@ -96,7 +91,7 @@ def gen_dataset(n: int, charset: Charset, len_range: tuple[int, int],
         indices = tuple(int(v) for v in rng.integers(1, charset.size, size=length))
         label = LabelSeq(indices)
         render_seed = int(rng.integers(0, 2**31))
-        image = render_text(charset.decode(label), h, w, style, seed=render_seed)
+        image = render_text(charset.decode(label), h, w, noise_sigma, seed=render_seed)
         samples.append(LabeledSample(image, label, f"synth-{i:05d}"))
     return samples
 
@@ -199,8 +194,9 @@ def save_dataset(samples: list[LabeledSample], directory, charset: Charset):
 
 
 def load_dataset(directory, h: int, w: int, charset: Charset,
-                 max_label_len: int | None = None) -> list[LabeledSample]:
-    """Load a labels.tsv corpus, resizing images to h x w."""
+                 max_label_len: int) -> list[LabeledSample]:
+    """Load a labels.tsv corpus, resizing images to h x w; a label longer
+    than ``max_label_len`` raises ``DatasetError``."""
     labels_path = os.path.join(directory, "labels.tsv")
     if not os.path.isfile(labels_path):
         raise DatasetError(f"missing labels file: {labels_path}")
@@ -218,13 +214,11 @@ def load_dataset(directory, h: int, w: int, charset: Charset,
         if len(parts) != 2:
             raise DatasetError(f"{labels_path}:{lineno}: expected 'path<TAB>text'")
         rel, text = parts
-        unknown = sorted({ch for ch in text.lower() if ch not in charset.symbols})
-        if unknown:
-            raise DatasetError(
-                f"{labels_path}:{lineno}: label {text!r} contains characters "
-                f"outside the charset: {', '.join(repr(c) for c in unknown)}")
-        label = charset.encode(text)
-        if max_label_len is not None and len(label) > max_label_len:
+        try:
+            label = charset.encode(text)
+        except DatasetError as exc:
+            raise DatasetError(f"{labels_path}:{lineno}: label {exc}") from None
+        if len(label) > max_label_len:
             raise DatasetError(
                 f"{labels_path}:{lineno}: label of length {len(label)} exceeds "
                 f"maximum {max_label_len}")

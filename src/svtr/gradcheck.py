@@ -169,7 +169,7 @@ def check_model(dtype=np.float64) -> dict[str, float]:
         return float(ctc_loss(T.log_softmax(logits), labels).data)
 
     model.zero_grad()
-    logits = model.forward(Tensor(image.astype(dtype)))
+    logits = model.forward(image)
     loss = ctc_loss(T.log_softmax(logits), labels)
     loss.backward()
 

@@ -282,25 +282,23 @@ class SvtrModel:
     # -- full forward -------------------------------------------------------
 
     def forward(self, images, attention: dict | None = None) -> Tensor:
-        """images [b, 3, H, W] -> logits [b, W/4, charset_size].
+        """images, an array [b, 3, H, W] converted to the model's dtype ->
+        logits [b, W/4, charset_size].
 
         Given an ``attention`` dict, each mixing block stores a copy of its
         post-softmax attention, [b, heads, n, n], under its parameter prefix
         (``"stage2.block0."``); the model itself keeps none of it.
         """
         cfg = self.config
-        if not isinstance(images, Tensor):
-            images = Tensor(np.asarray(images, dtype=self.dtype))
-        elif images.dtype != self.dtype:
-            images = Tensor(images.data.astype(self.dtype))
-        if images.data.ndim != 4 or images.shape[1] != 3 or \
+        images = np.asarray(images, dtype=self.dtype)
+        if images.ndim != 4 or images.shape[1] != 3 or \
                 images.shape[2] != cfg.input_h or images.shape[3] != cfg.input_w:
             raise GeometryError(
                 f"expected input [b, 3, {cfg.input_h}, {cfg.input_w}], got {images.shape}")
-        if not np.isfinite(images.data).all():
+        if not np.isfinite(images).all():
             raise ContractError(f"input batch {images.shape} holds NaN or infinite values")
 
-        x = self.patch_embed(images)
+        x = self.patch_embed(Tensor(images))
         geometry = cfg.stage_geometry()
         for stage in range(3):
             h, w, _ = geometry[stage]
@@ -322,7 +320,8 @@ def export_attention(model: SvtrModel, image, stage: int, block: int):
 
     Returns ``(maps, logits)``: ``maps[head, query]`` is that query's row
     over the stage grid, [heads, h*w, h, w], and ``logits`` the forward's
-    [1, W/4, charset_size] array.
+    [1, W/4, charset_size] array.  Logits that hold NaN or infinite values
+    (a blown-up model) raise ``ContractError``.
     """
     cfg = model.config
     if not 1 <= stage <= 3:
@@ -338,8 +337,14 @@ def export_attention(model: SvtrModel, image, stage: int, block: int):
     was_training = model.training
     model.eval()
     try:
-        logits = model.forward(image, attention)
+        # A blown-up model overflows on its way to non-finite logits; the
+        # check below is its one report, not numpy's warnings.
+        with np.errstate(all="ignore"):
+            logits = model.forward(image, attention).data
     finally:
         model.training = was_training
+    if not np.isfinite(logits).all():
+        raise ContractError(f"logits {logits.shape} hold NaN or infinite values: "
+                            "the model's weights have blown up")
     maps = attention[f"stage{stage}.block{block}."][0]
-    return maps.reshape(-1, h * w, h, w), logits.data
+    return maps.reshape(-1, h * w, h, w), logits

@@ -10,10 +10,12 @@ import numpy as np
 from .exceptions import ContractError
 from .tensor import Tensor
 
-# Adam moment decay rates and denominator offset.
+# Adam moment decay rates and denominator offset, and the decoupled weight
+# decay rate.
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+WEIGHT_DECAY = 0.05
 # Elements per in-place update of AdamW.step: the update's temporaries stay
 # within cache and never reach the size of the whole model.
 CHUNK = 1 << 16
@@ -49,7 +51,8 @@ def _decay_exempt(name: str) -> bool:
 
 
 class AdamW:
-    """Decoupled weight decay first, then bias-corrected Adam.
+    """Decoupled weight decay of ``WEIGHT_DECAY`` first, on every parameter
+    but biases and norm affines, then bias-corrected Adam.
 
     Building it packs the parameters, in ``params`` order, into one flat
     buffer and rebinds each ``p.data`` to a view of its slot; next to it lie
@@ -63,7 +66,7 @@ class AdamW:
     updating each tensor on its own.
     """
 
-    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.05):
+    def __init__(self, params: dict[str, Tensor]):
         dtypes = {p.dtype for p in params.values()}
         if len(dtypes) > 1:
             raise ContractError(f"AdamW packs parameters of one dtype, got "
@@ -71,7 +74,6 @@ class AdamW:
         dtype = dtypes.pop() if dtypes else np.dtype(np.float32)
         total = sum(p.size for p in params.values())
         self.params = params
-        self.weight_decay = weight_decay
         self.step_count = 0
         self._data = np.empty(total, dtype)
         self._grad = np.zeros(total, dtype)
@@ -104,8 +106,7 @@ class AdamW:
         bc2 = 1.0 - BETA2 ** t
         for sl in self._chunks:
             p, g, m, v = self._data[sl], self._grad[sl], self._m[sl], self._v[sl]
-            if self.weight_decay:
-                np.subtract(p, (lr * self.weight_decay) * p, out=p, where=self._decay[sl])
+            np.subtract(p, (lr * WEIGHT_DECAY) * p, out=p, where=self._decay[sl])
             m *= BETA1
             m += (1 - BETA1) * g
             v *= BETA2

@@ -96,9 +96,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, requires_grad={self.requires_grad})"
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     # -- graph --------------------------------------------------------------
 
     @property
@@ -482,7 +479,7 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int
     return cols.reshape(b, ci * kh * kw, oh * ow)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride=(1, 1)) -> Tensor:
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride) -> Tensor:
     """Cross-correlation with per-axis stride, zero-padded on each side by
     half the kernel (1 for a 3x3 kernel)."""
     if x.data.ndim != 4 or weight.data.ndim != 4:

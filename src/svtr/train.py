@@ -21,7 +21,6 @@ from .data import LabeledSample
 from .exceptions import ContractError, FeasibilityError
 from .model import SvtrModel
 from .optim import AdamW, LrSchedule, clip_grad_norm, scaled_peak_lr
-from .tensor import Tensor
 
 METRICS_HEADER = "# step\tlr\tloss\taccuracy\n"
 WARMUP_EPOCHS = 2
@@ -56,7 +55,8 @@ class EvalReport:
 
 def evaluate(model: SvtrModel, samples: list[LabeledSample],
              batch_size: int = 64) -> EvalReport:
-    """Greedy-decode every sample in eval mode; deterministic."""
+    """Greedy-decode every sample in eval mode; deterministic.  A model
+    whose logits hold NaN or infinite values raises ``ContractError``."""
     if not samples:
         return EvalReport(0.0, 0.0, [], warning="empty evaluation dataset")
     was_training = model.training
@@ -65,10 +65,13 @@ def evaluate(model: SvtrModel, samples: list[LabeledSample],
         records = []
         for start in range(0, len(samples), batch_size):
             chunk = samples[start:start + batch_size]
-            images = Tensor(np.stack([s.image for s in chunk]))
+            images = np.stack([s.image for s in chunk])
             # No name holds the logits: they would keep this batch's graph
-            # alive through the next batch's forward.
-            for sample, pred in zip(chunk, greedy_decode(model.forward(images))):
+            # alive through the next batch's forward.  A blown-up model's
+            # one report is greedy_decode's error, not numpy's warnings.
+            with np.errstate(all="ignore"):
+                preds = greedy_decode(model.forward(images))
+            for sample, pred in zip(chunk, preds):
                 acc = edit_accuracy(pred, sample.label)
                 records.append(SampleResult(sample.id, acc.exact, acc.norm_edit_sim,
                                             pred.indices, sample.label.indices))
@@ -143,7 +146,7 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
             losses = []
             for start in range(0, len(train_set), batch_size):
                 batch = [train_set[i] for i in order[start:start + batch_size]]
-                images = Tensor(np.stack([s.image for s in batch]))
+                images = np.stack([s.image for s in batch])
                 labels = [s.label for s in batch]
 
                 model.seed_dropout(seed * 1_000_003 + global_step)
@@ -154,7 +157,7 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
                 with np.errstate(all="ignore"):
                     logits = model.forward(images)
                     loss = ctc_loss(T.log_softmax(logits), labels)
-                value = loss.item()
+                value = float(loss.data)
                 if not math.isfinite(value):
                     raise ContractError(
                         f"training diverged: non-finite loss {value} at step {global_step} "
@@ -166,10 +169,7 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
                 losses.append(value)
                 global_step += 1
 
-            # The next step's loss check reports a model the last update
-            # blew up; its eval here would only warn first.
-            with np.errstate(all="ignore"):
-                report = evaluate(model, eval_set, batch_size=batch_size)
+            report = evaluate(model, eval_set, batch_size=batch_size)
             lr_now = schedule.lr_at(global_step)
             metrics = EpochMetrics(epoch, global_step, lr_now,
                                    float(np.mean(losses)), report.word_accuracy)

@@ -191,7 +191,7 @@ def test_c08_overfit():
 def test_c09_permutation_axes():
     charset = Charset()
     dataset = gen_dataset(2, charset, (1, 3), 32, 128, seed=5)
-    images = Tensor(np.stack([s.image for s in dataset]))
+    images = np.stack([s.image for s in dataset])
     labels = [s.label for s in dataset]
     shapes = set()
     for perm in ["L" * 6 + "G" * 6, "G" * 6 + "L" * 6, "LG" * 6,

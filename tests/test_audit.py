@@ -62,10 +62,9 @@ def test_flops_scale_with_width():
     # grow fourfold
     narrow = count_flops(PRESETS["svtr-t"], input_w=64)
     wide = count_flops(PRESETS["svtr-t"], input_w=128)
-    linear_n = narrow.total_macs - narrow.quadratic_macs
-    linear_w = wide.total_macs - wide.quadratic_macs
-    assert linear_w == 2 * linear_n
-    assert wide.quadratic_macs == 4 * narrow.quadratic_macs
+    quad_n, quad_w = (sum(e.macs for e in r.entries if e.quadratic) for r in (narrow, wide))
+    assert wide.total_macs - quad_w == 2 * (narrow.total_macs - quad_n)
+    assert quad_w == 4 * quad_n
 
 
 def test_svtr_t_macs_at_reference_geometry():

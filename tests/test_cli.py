@@ -1,11 +1,13 @@
 """Command-line behavior: outputs, exit codes, and end-to-end flows."""
 
+import argparse
+
 import numpy as np
 import pytest
 
 import svtr.cli
 import svtr.data
-from svtr.checkpoint import restore_model
+from svtr.checkpoint import restore_model, save_checkpoint
 from svtr.cli import main
 from svtr.config import PRESETS
 from svtr.ctc import Charset, LabelSeq, greedy_decode
@@ -134,12 +136,39 @@ def test_train_without_data_fits_a_synthetic_corpus(capsys, tmp_path):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_train_is_one_error_line(capsys, tmp_path):
-    code, out, err = run(capsys, "train", "--config", "svtr-micro", "--synth", "4",
+    # Two steps an epoch: step 0's update blows the model up, and step 1's
+    # loss reports it before the epoch's evaluation would.
+    code, out, err = run(capsys, "train", "--config", "svtr-micro", "--synth", "8",
                          "--epochs", "3", "--batch-size", "4", "--lr", "1e30",
                          "--warmup-epochs", "0", "--out", str(tmp_path))
     assert code == 1 and not out
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: training diverged: non-finite loss nan at step 1")
+
+
+@pytest.mark.filterwarnings("error")
+def test_last_step_blowing_up_the_model_is_one_error_line(capsys, tmp_path):
+    # The only step's update blows the model up, so no later loss is there
+    # to go non-finite; the epoch's evaluation reports it.
+    code, out, err = run(capsys, "train", "--config", "svtr-micro", "--synth", "4",
+                         "--epochs", "1", "--batch-size", "4", "--lr", "1e30",
+                         "--warmup-epochs", "0", "--out", str(tmp_path))
+    assert code == 1 and not out
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: logits (4, 16, 37) hold NaN or infinite values")
+    assert not list(tmp_path.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("argv", [("gen-data", "--out", "unused", "--n", "1"),
+                                  ("train", "--config", "svtr-micro", "--epochs", "1")],
+                         ids=["gen-data", "train"])
+def test_negative_seed_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "-1", *argv])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage:")
+    assert "error: argument --seed: must be a non-negative integer" in err
 
 
 def test_charset_of_another_size_is_one_error_line(capsys, tmp_path):
@@ -394,3 +423,96 @@ def test_gradcheck_command_passes(capsys):
     code, out, _ = run(capsys, "gradcheck", "--dtype", "f64")
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.fixture(scope="module")
+def blown_up(trained):
+    """The trained checkpoint with every weight scaled by 1e30, as a last
+    diverging update leaves it: finite weights, non-finite logits."""
+    model, _ = restore_model(trained / "ckpt" / "last.ckpt",
+                             expected_config=PRESETS["svtr-micro"])
+    for p in model.params.values():
+        p.data *= np.float32(1e30)
+    path = trained / "blown-up.ckpt"
+    save_checkpoint(path, model)
+    return path
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["infer", "eval", "attn-dump"])
+def test_blown_up_checkpoint_is_one_error_line(capsys, trained, blown_up, tmp_path, command):
+    image = str(sorted((trained / "data" / "images").glob("*.ppm"))[0])
+    extra = {"infer": ("--image", image),
+             "eval": ("--data", str(trained / "data")),
+             "attn-dump": ("--image", image, "--stage", "2", "--block", "0",
+                           "--query", "0", "--out", str(tmp_path))}[command]
+    code, out, err = run(capsys, command, "--config", "svtr-micro",
+                         "--checkpoint", str(blown_up), *extra)
+    assert code == 1 and not out
+    assert err.splitlines() == [err.strip()]
+    assert "hold NaN or infinite values" in err
+    assert not list(tmp_path.iterdir())
+
+
+# -- the numeric-argument contract ------------------------------------------
+
+def _numeric_options():
+    """(subcommand or None for the global options, option) for every option
+    of the parser that converts its text to a number."""
+    parser = svtr.cli.build_parser()
+    found = [(None, a.option_strings[-1]) for a in parser._actions
+             if a.type is not None and a.option_strings]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, subparser in sub.choices.items():
+        found += [(command, a.option_strings[-1]) for a in subparser._actions
+                  if a.type is not None and a.option_strings]
+    return found
+
+
+NUMERIC_OPTIONS = _numeric_options()
+
+
+def _base_argv(command, trained, out):
+    """A valid, fast invocation of ``command`` as an option -> value dict."""
+    ckpt = str(trained / "ckpt" / "last.ckpt")
+    image = str(sorted((trained / "data" / "images").glob("*.ppm"))[0])
+    return {
+        "flops": {"--config": "svtr-micro"},
+        "gen-data": {"--out": str(out), "--n": "1"},
+        "train": {"--config": "svtr-micro", "--synth": "2", "--epochs": "1"},
+        "attn-dump": {"--config": "svtr-micro", "--checkpoint": ckpt, "--image": image,
+                      "--stage": "2", "--block": "0", "--query": "0", "--out": str(out)},
+    }[command]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1e400"])
+@pytest.mark.parametrize("command,option", NUMERIC_OPTIONS,
+                         ids=[f"{c or 'svtr'}{o}" for c, o in NUMERIC_OPTIONS])
+def test_a_numeric_argument_exits_0_or_prints_one_error_or_a_usage_line(
+        capsys, trained, tmp_path, command, option, value):
+    """README's contract for any value of a numeric option: exit 0, or exit 1
+    with one ``error:`` line, or exit 2 with a usage line; never a traceback
+    (an uncaught exception fails the test) nor a warning (raised here)."""
+    if command is None:     # a global option, given before gen-data
+        prog, argv = "svtr", [option, value, "gen-data"]
+        options = _base_argv("gen-data", trained, tmp_path)
+    else:
+        prog, argv = f"svtr {command}", [command]
+        options = {**_base_argv(command, trained, tmp_path), option: value}
+    for name, text in options.items():
+        argv += [name, text]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert not err
+    elif code == 1:
+        assert not out
+        assert err.startswith("error: ") and err.splitlines() == [err.strip()]
+    else:
+        assert code == 2 and not out
+        assert err.startswith("usage:")
+        assert err.splitlines()[-1].startswith(f"{prog}: error: argument {option}")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svtr.audit import count_flops, count_params
-from svtr.config import PRESETS, SvtrConfig, format_config, load_config, parse_config_text
+from svtr.config import PRESETS, SvtrConfig, load_config, parse_config_text
 from svtr.exceptions import ContractError, GeometryError, SvtrError
 from svtr.model import SvtrModel
 
@@ -71,6 +71,16 @@ def test_even_window_rejected():
 def test_dict_roundtrip():
     for config in PRESETS.values():
         assert SvtrConfig.from_dict(config.to_dict()) == config
+
+
+def format_config(config: SvtrConfig) -> str:
+    """The config file text of ``config``: one ``key = value`` line per field."""
+    lines = []
+    for key, value in config.to_dict().items():
+        if isinstance(value, (tuple, list)):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def test_text_roundtrip():

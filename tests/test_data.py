@@ -5,24 +5,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from svtr import font
-from svtr.ctc import Charset
-from svtr.data import (LabeledSample, RenderStyle, gen_dataset, load_dataset, load_image,
+from svtr.ctc import DEFAULT_SYMBOLS, Charset
+from svtr.data import (LabeledSample, gen_dataset, load_dataset, load_image,
                        read_pnm, render_text, save_dataset, write_pnm)
 from svtr.exceptions import ContractError, DatasetError, RenderError, SvtrError
 
-QUIET = RenderStyle(noise_sigma=0.0)
+QUIET = 0.0     # noise_sigma of a noise-free rendering
 
 
 def test_font_covers_charset():
-    assert set(font.available_symbols()) == set("0123456789abcdefghijklmnopqrstuvwxyz")
-    for ch in font.available_symbols():
+    assert set(DEFAULT_SYMBOLS) == set("0123456789abcdefghijklmnopqrstuvwxyz")
+    for ch in DEFAULT_SYMBOLS:
         g = font.glyph(ch)
         assert g.shape == (font.GLYPH_H, font.GLYPH_W)
         assert g.any()
 
 
 def test_font_glyphs_pairwise_distinct():
-    glyphs = {ch: font.glyph(ch).tobytes() for ch in font.available_symbols()}
+    glyphs = {ch: font.glyph(ch).tobytes() for ch in DEFAULT_SYMBOLS}
     assert len(set(glyphs.values())) == len(glyphs)
 
 
@@ -33,10 +33,10 @@ def test_empty_text_renders_background():
 
 
 def test_render_determinism():
-    a = render_text("abc", 16, 64, RenderStyle(), seed=5)
-    b = render_text("abc", 16, 64, RenderStyle(), seed=5)
+    a = render_text("abc", 16, 64, seed=5)
+    b = render_text("abc", 16, 64, seed=5)
     np.testing.assert_array_equal(a, b)
-    c = render_text("abc", 16, 64, RenderStyle(), seed=6)
+    c = render_text("abc", 16, 64, seed=6)
     assert not np.array_equal(a, c)
 
 
@@ -94,7 +94,7 @@ def test_gen_dataset_renders_the_longest_length_that_fits():
 @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -1.0])
 def test_render_style_rejects_bad_noise_sigma(sigma):
     with pytest.raises(ContractError, match="noise_sigma"):
-        RenderStyle(noise_sigma=sigma)
+        render_text("abc", 16, 64, noise_sigma=sigma)
 
 
 def test_pnm_roundtrip_gray(tmp_path):
@@ -154,7 +154,7 @@ def test_dataset_roundtrip(tmp_path):
     cs = Charset()
     samples = gen_dataset(4, cs, (1, 3), 16, 64, seed=7)
     save_dataset(samples, tmp_path, cs)
-    loaded = load_dataset(tmp_path, 16, 64, cs)
+    loaded = load_dataset(tmp_path, 16, 64, cs, max_label_len=5)
     assert len(loaded) == 4
     for orig, back in zip(samples, loaded):
         assert back.label == orig.label
@@ -165,18 +165,18 @@ def test_dataset_roundtrip(tmp_path):
 
 def test_empty_labels_file(tmp_path):
     (tmp_path / "labels.tsv").write_text("")
-    assert load_dataset(tmp_path, 16, 64, Charset()) == []
+    assert load_dataset(tmp_path, 16, 64, Charset(), max_label_len=5) == []
 
 
 def test_missing_labels_file(tmp_path):
     with pytest.raises(DatasetError):
-        load_dataset(tmp_path, 16, 64, Charset())
+        load_dataset(tmp_path, 16, 64, Charset(), max_label_len=5)
 
 
 def test_labels_file_not_utf8_is_a_dataset_error(tmp_path):
     (tmp_path / "labels.tsv").write_bytes(b"x.ppm\tab\xff\n")
     with pytest.raises(DatasetError) as exc:
-        load_dataset(tmp_path, 16, 64, Charset())
+        load_dataset(tmp_path, 16, 64, Charset(), max_label_len=5)
     assert "labels.tsv" in str(exc.value)
 
 
@@ -202,10 +202,11 @@ def test_labels_file_any_bytes_give_samples_or_a_typed_error(tmp_path, data):
 
 def test_out_of_charset_label_names_character(tmp_path):
     write_pnm(tmp_path / "x.ppm", np.zeros((3, 16, 64)))
-    (tmp_path / "labels.tsv").write_text("x.ppm\théllo\n")
+    (tmp_path / "labels.tsv").write_text("x.ppm\tabc\nx.ppm\théllo!\n")
     with pytest.raises(DatasetError) as exc:
-        load_dataset(tmp_path, 16, 64, Charset())
-    assert "'é'" in str(exc.value)
+        load_dataset(tmp_path, 16, 64, Charset(), max_label_len=5)
+    assert str(exc.value).startswith(f"{tmp_path / 'labels.tsv'}:2: ")
+    assert "'é'" in str(exc.value) and "'!'" in str(exc.value)
 
 
 def test_oversize_label_rejected(tmp_path):
@@ -229,5 +230,5 @@ def test_load_resizes_to_requested_geometry(tmp_path):
     cs = Charset()
     samples = gen_dataset(1, cs, (1, 2), 32, 128, seed=3)
     save_dataset(samples, tmp_path, cs)
-    loaded = load_dataset(tmp_path, 16, 64, cs)
+    loaded = load_dataset(tmp_path, 16, 64, cs, max_label_len=5)
     assert loaded[0].image.shape == (3, 16, 64)

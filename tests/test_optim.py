@@ -45,7 +45,7 @@ def test_schedule_rejects_out_of_range():
 def test_adamw_zero_grad_no_decay_is_noop():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     p.grad = np.zeros(2, dtype=np.float32)
-    opt = AdamW({"w.weight": p}, weight_decay=0.0)
+    opt = AdamW({"w.bias": p})
     before = p.data.copy()
     opt.step(lr=0.1)
     np.testing.assert_array_equal(p.data, before)
@@ -55,7 +55,7 @@ def test_adamw_first_step_magnitude():
     # bias-corrected first step with constant gradient 1 moves by about lr
     p = Tensor(np.array([0.0]), requires_grad=True)
     p.grad = np.ones(1, dtype=np.float32)
-    opt = AdamW({"w.weight": p}, weight_decay=0.0)
+    opt = AdamW({"w.bias": p})
     lr = 0.01
     opt.step(lr)
     # closed form: m_hat = 1, v_hat = 1, update = lr / (1 + eps)
@@ -66,7 +66,7 @@ def test_adamw_first_step_magnitude():
 def test_adamw_decoupled_decay_scaling():
     p = Tensor(np.array([4.0]), requires_grad=True)
     p.grad = np.zeros(1, dtype=np.float32)
-    opt = AdamW({"w.weight": p}, weight_decay=0.05)
+    opt = AdamW({"w.weight": p})
     opt.step(lr=0.01)
     # zero gradient leaves the Adam term at zero; only the decay applies
     assert np.isclose(float(p.data[0]), 4.0 * (1 - 5e-4), rtol=1e-7)
@@ -77,7 +77,7 @@ def test_adamw_exempts_bias_and_norm_affine():
                for name in ["fc.weight", "fc.bias", "norm.gamma", "norm.beta"]}
     for t in tensors.values():
         t.grad = np.zeros(1, dtype=np.float32)
-    AdamW(tensors, weight_decay=0.05).step(lr=0.01)
+    AdamW(tensors).step(lr=0.01)
     assert float(tensors["fc.weight"].data[0]) < 2.0
     for name in ["fc.bias", "norm.gamma", "norm.beta"]:
         assert float(tensors[name].data[0]) == 2.0

@@ -22,7 +22,7 @@ def test_zero_d_f64_arithmetic_stays_f64():
     a = Tensor(np.array(2.0), requires_grad=True)
     assert (a * 3.0).dtype == np.float64
     assert (a + a).dtype == np.float64
-    assert (a + a).item() == 4.0
+    assert float((a + a).data) == 4.0
     assert Tensor(np.float64(2.0)).dtype == np.float64
     assert Tensor(2.0).dtype == np.float32
 
@@ -466,7 +466,7 @@ _INPUT_UNREAD = {
     "softmax": T.softmax,
     "log_softmax": T.log_softmax,
     "apply_attention_mask": lambda x: T.apply_attention_mask(x, np.eye(4, dtype=bool)),
-    "conv2d": lambda x: T.conv2d(x, _param(2, 3, 3, 3), _param(2)),
+    "conv2d": lambda x: T.conv2d(x, _param(2, 3, 3, 3), _param(2), stride=(1, 1)),
     "tsum": T.tsum,
     "tmean": T.tmean,
     "mean_pool_height": T.mean_pool_height,

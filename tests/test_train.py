@@ -132,9 +132,8 @@ def test_evaluate_perfect_predictions_score_one():
     model = SvtrModel(micro_config(), seed=5).eval()
     data = tiny_dataset(4, seed=3)
     from svtr.ctc import greedy_decode
-    from svtr.tensor import Tensor
     from svtr.data import LabeledSample
-    logits = model.forward(Tensor(np.stack([s.image for s in data])))
+    logits = model.forward(np.stack([s.image for s in data]))
     decoded = greedy_decode(logits)
     relabeled = [LabeledSample(s.image, pred, s.id)
                  for s, pred in zip(data, decoded)]
