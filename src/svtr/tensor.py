@@ -10,11 +10,15 @@ inputs and the backward rule but no forward array.  Every op builds its
 output through ``_make``, which links the new node to the nodes of the
 inputs that require grad.  A rule closes over those nodes, the shapes it
 needs and exactly the arrays it reads: ``matmul`` both operands, ``conv2d``
-the im2col columns and the weight, ``layernorm`` and ``batchnorm2d``
+the zero-padded input and the weight, ``layernorm`` and ``batchnorm2d``
 their input, ``gelu`` its derivative, ``mul`` the operand whose partner
-requires grad, ``softmax`` and ``log_softmax`` their f64 output,
-``dropout`` its mask, and every other op no input array.  So an intermediate's values are freed as
-soon as their last reader is done with them, not when backward ends.
+requires grad, ``softmax`` its input and the f64 row max and row sum,
+``log_softmax`` its f64 output, ``dropout`` its mask packed to one bit per
+element, and every other op no input array.  ``conv2d`` and ``softmax``
+rebuild the im2col columns and the probabilities in backward with the
+forward's operations, so their gradients keep their bits.  So an
+intermediate's values are freed as soon as their last reader is done with
+them, not when backward ends.
 ``backward`` replays the rules in reverse execution order (node creation
 order), which makes gradient accumulation deterministic, and frees the
 graph as it goes, so each forward supports one backward.
@@ -321,15 +325,16 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout, always applied: the caller decides when it runs."""
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    # Backward keeps the 1-byte mask and rebuilds the factor from it; the
-    # product of the mask and the rounded scale is bitwise the rounded
-    # product, so both passes see the same factor.
+    # Backward keeps the mask packed, one bit per element, and rebuilds the
+    # factor from it; the product of the mask and the rounded scale is
+    # bitwise the rounded product, so both passes see the same factor.
     keep = rng.random(x.shape) >= rate
     scale = x.dtype.type(1.0 / (1.0 - rate))
     out_data = x.data * (keep.astype(x.dtype) * scale)
-    xn = x._node
+    bits, shape, xn = np.packbits(keep), x.shape, x._node
 
     def bwd(g):
+        keep = np.unpackbits(bits, count=g.size).reshape(shape)
         _accumulate(xn, g * (keep.astype(xn.dtype) * scale))
 
     return _make(out_data, (x,), bwd)
@@ -471,8 +476,10 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
 # -- convolution ------------------------------------------------------------
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int):
+    """The f64 columns [b, ci*kh*kw, oh*ow] of the padded input; the GEMMs
+    read them wide, so they are widened as they are gathered."""
     b, ci = xp.shape[:2]
-    cols = np.empty((b, ci, kh, kw, oh, ow), dtype=xp.dtype)
+    cols = np.empty((b, ci, kh, kw, oh, ow))
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
@@ -501,16 +508,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride) -> Tensor:
     xp[:, :, ph:ph + h, pw:pw + w] = x.data
     cols = _im2col(xp, kh, kw, sh, sw, oh, ow)                       # [b, ci*kh*kw, oh*ow]
     wf = weight.data.reshape(co, ci * kh * kw)
-    out_data = np.matmul(_wide(wf), _wide(cols)).astype(x.dtype)     # [b, co, oh*ow]
+    out_data = np.matmul(_wide(wf), cols).astype(x.dtype)            # [b, co, oh*ow]
     out_data = out_data.reshape(b, co, oh, ow)
     out_data += bias.data.reshape(1, co, 1, 1)
-    # The padded input is not kept: its gradient needs only its shape.
-    xp_shape, xn, wn, bn = xp.shape, x._node, weight._node, bias._node
+    # The rule keeps the padded input, not the columns, which are about
+    # kh * kw / (sh * sw) times its size, and rebuilds the columns for the
+    # weight gradient.
+    xn, wn, bn = x._node, weight._node, bias._node
 
     def bwd(g):
         gf = _wide(g.reshape(b, co, oh * ow))
+        cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
         # b GEMMs and a sum over b: an einsum here never reaches BLAS.
-        gw = np.matmul(gf, _wide(cols).swapaxes(1, 2)).sum(axis=0).reshape(co, ci, kh, kw)
+        gw = np.matmul(gf, cols.swapaxes(1, 2)).sum(axis=0).reshape(co, ci, kh, kw)
+        del cols
         _accumulate(wn, gw)
         _accumulate(bn, g.sum(axis=(0, 2, 3)))
         if xn is None:
@@ -519,7 +530,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride) -> Tensor:
             return
         gcols = np.matmul(_wide(wf).T, gf)                           # [b, ci*kh*kw, oh*ow]
         gcols = gcols.reshape(b, ci, kh, kw, oh, ow)
-        gxp = np.zeros(xp_shape)
+        gxp = np.zeros(xp.shape)
         for i in range(kh):
             for j in range(kw):
                 gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
@@ -637,17 +648,30 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
 # -- softmax family, over the last axis -------------------------------------
 
 def softmax(x: Tensor) -> Tensor:
-    x64 = _wide(x.data)
-    # exp(x - max) / sum, in place on the one fresh array.
-    y64 = x64 - x64.max(axis=-1, keepdims=True)
+    xd = x.data
+    # exp(x - max) / sum in f64, in place on one fresh array; the division
+    # rounds each quotient to f64 and then to the output's dtype.
+    y64 = xd.astype(np.float64)
+    row_max = y64.max(axis=-1, keepdims=True)
+    y64 -= row_max
     np.exp(y64, out=y64)
-    y64 /= y64.sum(axis=-1, keepdims=True)
-    out_data = y64.astype(x.dtype)
+    row_sum = y64.sum(axis=-1, keepdims=True)
+    out_data = np.divide(y64, row_sum, out=np.empty_like(xd))
     xn = x._node
 
     def bwd(g):
-        g64 = _wide(g)
-        _accumulate(xn, y64 * (g64 - (g64 * y64).sum(axis=-1, keepdims=True)))
+        # The rule keeps the input and the f64 row max and sum, not the f64
+        # output, and rebuilds the output with the forward's operations, so
+        # with its bits (after FlashAttention, arXiv 2205.14135).
+        y64 = xd.astype(np.float64)
+        y64 -= row_max
+        np.exp(y64, out=y64)
+        y64 /= row_sum
+        # y * (g - sum(g * y)), with g widened inside each operation (exact)
+        # and not written.
+        t = np.multiply(g, y64)
+        np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
+        _accumulate(xn, np.multiply(y64, t, out=np.empty_like(xd)))
 
     return _make(out_data, (x,), bwd)
 

@@ -3,12 +3,19 @@
 Each test prints one PASS/FAIL line (bypassing capture) and enforces its own
 runtime budget.  The heavyweight case is the small-model overfit run, which
 trains twice to also establish bit-for-bit reproducibility of the loss curve.
+It runs the two trainings side by side in two worker processes: run as a
+script, this file performs one of them and prints its result as JSON.
 """
 
 import functools
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,20 +175,37 @@ def test_c07_local_global_saturation():
     return "bitwise identical under full-true mask"
 
 
+def _c08_run() -> dict:
+    """One run of the c08 recipe: its loss curve as exact ``float.hex``
+    strings and its best train accuracy."""
+    config = PRESETS["svtr-micro"]
+    dataset = gen_dataset(64, Charset(), (1, 5), config.input_h, config.input_w,
+                          seed=123)
+    model = SvtrModel(config, seed=42)
+    history = train(model, dataset, epochs=300, batch_size=16, seed=42,
+                    peak_lr=0.03)
+    return {"curve": [float(m.loss).hex() for m in history],
+            "best": max(m.accuracy for m in history)}
+
+
 @_reported("criterion 08 overfit", 600)
 def test_c08_overfit():
-    config = PRESETS["svtr-micro"]
-    charset = Charset()
-    dataset = gen_dataset(64, charset, (1, 5), config.input_h, config.input_w,
-                          seed=123)
-    curves = []
-    best = 0.0
-    for run in range(2):
-        model = SvtrModel(config, seed=42)
-        history = train(model, dataset, epochs=300, batch_size=16, seed=42,
-                        peak_lr=0.03)
-        curves.append([m.loss for m in history])
-        best = max(best, max(m.accuracy for m in history))
+    # The two identical runs train side by side in two worker processes, each
+    # on one BLAS thread (set in its environment, so before numpy loads): two
+    # threaded GEMMs would oversubscribe the cores.  Equal curves across
+    # processes also show that no process-global state reaches the numbers.
+    src = str(Path(T.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    workers = [subprocess.Popen([sys.executable, __file__], env=env,
+                                stdout=subprocess.PIPE, text=True)
+               for _ in range(2)]
+    outputs = [worker.communicate()[0] for worker in workers]
+    assert [w.returncode for w in workers] == [0, 0], "a c08 worker failed"
+    runs = [json.loads(out.splitlines()[-1]) for out in outputs]
+    curves = [run["curve"] for run in runs]
+    best = max(run["best"] for run in runs)
     assert best >= 0.95, best
     assert curves[0] == curves[1], "loss curves differ between identical runs"
     return f"best train accuracy {best:.3f}, curves bit-identical"
@@ -244,3 +268,7 @@ def test_c11_scheduler():
     for step, want in closed.items():
         assert abs(sched.lr_at(step) - want) < 1e-12, step
     return "ramp/cosine closed form to 1e-12, peak 6.25e-5 at batch 256"
+
+
+if __name__ == "__main__":
+    print(json.dumps(_c08_run()))

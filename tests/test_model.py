@@ -3,13 +3,14 @@ residual identities, local/global saturation, and attention export."""
 
 import dataclasses
 import re
-import weakref
 
 import numpy as np
 import pytest
 
 from svtr import tensor as T
 from svtr.config import PRESETS, SvtrConfig
+from svtr.ctc import Charset
+from svtr.data import gen_dataset
 from svtr.exceptions import ContractError, GeometryError, ShapeError
 from svtr.gradcheck import micro_config
 from svtr.model import SvtrModel, export_attention, local_attention_mask, parameter_spec
@@ -66,29 +67,65 @@ def test_f64_initial_values_are_the_f32_ones_widened():
         np.testing.assert_array_equal(wide.params[name].data, p.data.astype(np.float64))
 
 
-def test_train_forward_frees_the_scaled_attention_scores(monkeypatch):
-    config = PRESETS["svtr-micro"]
+def _train_graph_rules(config, batch):
+    """The backward rules of one seeded train forward, and the element count
+    of each stage's attention scores [b, heads, n, n]."""
     model = SvtrModel(config, seed=0).train()
-    mul, watched = T.mul, []
-
-    def watching_mul(a, b):
-        out = mul(a, b)
-        watched.append(weakref.ref(out.data))
-        return out
-
-    monkeypatch.setattr(T, "mul", watching_mul)
-    images = np.random.default_rng(0).uniform(size=(2, 3, config.input_h, config.input_w))
+    images = np.random.default_rng(0).uniform(size=(batch, 3, config.input_h, config.input_w))
     logits = model.forward(images)
     assert logits.requires_grad
-    # One scale per mixing block, and no rule keeps the scaled scores.
-    assert len(watched) == sum(config.depths)
-    assert all(ref() is None for ref in watched)
+    rules = [node._backward_fn for node in T._reachable(logits._node)
+             if node._backward_fn is not None]
+    scores = [batch * heads * (h * w) ** 2
+              for heads, (h, w, _) in zip(config.heads, config.stage_geometry())]
+    return rules, scores
+
+
+def _kept_arrays(rule):
+    return [c.cell_contents for c in rule.__closure__ or ()
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+def test_train_forward_keeps_no_scaled_attention_scores():
+    config = PRESETS["svtr-micro"]
+    rules, _ = _train_graph_rules(config, 2)
+    muls = [r for r in rules if r.__qualname__ == "mul.<locals>.bwd"]
+    # One scale per mixing block, whose rule keeps only the 0-d constant.
+    assert len(muls) == sum(config.depths)
+    assert all(a.ndim == 0 for r in muls for a in _kept_arrays(r))
+
+
+@pytest.mark.parametrize("name", ["svtr-micro", "svtr-t"])
+def test_train_forward_keeps_no_f64_array_the_size_of_attention_scores(name):
+    rules, scores = _train_graph_rules(PRESETS[name], 2)
+    kept = [(r.__qualname__, a.shape) for r in rules for a in _kept_arrays(r)
+            if a.dtype == np.float64 and a.size >= min(scores)]
+    assert kept == []
 
 
 def test_eval_forward_deterministic():
     model = micro_model()
     x = np.random.default_rng(0).uniform(size=(2, 3, 16, 32)).astype(np.float32)
     np.testing.assert_array_equal(model.forward(x).data, model.forward(x).data)
+
+
+def _eval_logits_in_batches(model, images, batch):
+    return np.concatenate([model.forward(images[i:i + batch]).data
+                           for i in range(0, len(images), batch)])
+
+
+@pytest.mark.parametrize("name, n, seed, len_range, batches", [
+    ("svtr-micro", 64, 123, (1, 5), (16, 1)),  # c08's corpus and model
+    ("svtr-t", 8, 7, (1, 16), (1,)),
+])
+def test_eval_logits_do_not_depend_on_the_batch_size(name, n, seed, len_range, batches):
+    config = PRESETS[name]
+    dataset = gen_dataset(n, Charset(), len_range, config.input_h, config.input_w, seed=seed)
+    images = np.stack([s.image for s in dataset])
+    model = SvtrModel(config, seed=42).eval()
+    whole = model.forward(images).data
+    for batch in batches:
+        assert _eval_logits_in_batches(model, images, batch).tobytes() == whole.tobytes(), batch
 
 
 def test_embed_stack_param_count_oracle():

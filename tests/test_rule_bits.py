@@ -1,11 +1,16 @@
-"""The ops that compute in place give the bits of the plain expressions.
+"""The ops that compute in place or keep less give the bits of the plain
+expressions.
 
 ``gelu``, ``softmax``, the bias adds of ``matmul`` and ``conv2d`` and the
 backward rules of ``layernorm`` and ``batchnorm2d`` write into fresh arrays
-they own instead of allocating one per operation.  Each test here runs the
-op and compares its output and gradients, bit for bit, with a test-local copy
-of the allocating expressions, in f32 and f64.  The erf test pins the
-identity ``gelu`` relies on: scipy's erf is exactly odd.
+they own instead of allocating one per operation.  ``softmax``, ``dropout``
+and ``conv2d`` keep less than their output or their columns for backward
+(the row max and sum, a packed mask, the padded input) and rebuild the rest.
+Each test here runs the op and compares its output and gradients, bit for
+bit, with a test-local copy of the allocating expressions or of the rule
+that kept everything, in f32 and f64; the closure tests pin what each of the
+three rules keeps.  The erf test pins the identity ``gelu`` relies on:
+scipy's erf is exactly odd.
 """
 
 import numpy as np
@@ -106,6 +111,7 @@ def test_erf_is_exactly_odd():
 # -- softmax ----------------------------------------------------------------
 
 def _softmax_reference(xd, g):
+    """The rule that kept the f64 output."""
     x64 = _wide(xd)
     shifted = x64 - x64.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -136,6 +142,138 @@ def test_softmax_matches_the_plain_expressions(dtype, case):
     _assert_same_bits(out.data, ref_out)
     _assert_same_bits(gx, ref_gx)
     np.testing.assert_array_equal(x.data, xd)
+
+
+def _kept_arrays(out):
+    """The arrays the backward rule of ``out`` closes over."""
+    cells = out._node._backward_fn.__closure__
+    return [c.cell_contents for c in cells if isinstance(c.cell_contents, np.ndarray)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_softmax_rule_does_not_write_the_upstream_gradient(dtype):
+    rng = np.random.default_rng(21)
+    xd = rng.normal(size=(3, 6)).astype(dtype)
+    g = rng.normal(size=xd.shape).astype(dtype)
+    x = _leaf(xd.copy())
+    upstream = g.copy()
+    T.softmax(x)._node._backward_fn(upstream)
+    np.testing.assert_array_equal(upstream, g)
+    _assert_same_bits(x.grad, _softmax_reference(xd, g)[1])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_softmax_rule_keeps_its_input_and_two_row_statistics(dtype):
+    x = _leaf(np.random.default_rng(22).normal(size=(2, 3, 5, 5)).astype(dtype))
+    kept = _kept_arrays(T.softmax(x))
+    assert len(kept) == 3
+    assert sum(a is x.data for a in kept) == 1
+    stats = [a for a in kept if a is not x.data]
+    assert all(a.dtype == np.float64 and a.shape == (2, 3, 5, 1) for a in stats)
+
+
+# -- dropout ----------------------------------------------------------------
+
+def _dropout_reference(xd, rate, seed, g):
+    """The rule that kept the one-byte mask."""
+    keep = np.random.default_rng(seed).random(xd.shape) >= rate
+    scale = xd.dtype.type(1.0 / (1.0 - rate))
+    return xd * (keep.astype(xd.dtype) * scale), g * (keep.astype(xd.dtype) * scale)
+
+
+# Sizes 13, 21, 30 and 210: none a multiple of 8, so the packed mask is padded.
+DROPOUT_SHAPES = [(13,), (3, 7), (2, 3, 5), (2, 3, 5, 7)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("rate", [0.1, 0.5])
+@pytest.mark.parametrize("shape", DROPOUT_SHAPES)
+def test_dropout_matches_the_rule_that_kept_the_byte_mask(dtype, rate, shape):
+    rng = np.random.default_rng(23)
+    xd = rng.normal(size=shape).astype(dtype)
+    g = rng.normal(size=shape).astype(dtype)
+    x = _leaf(xd.copy())
+    out = T.dropout(x, rate, np.random.default_rng(24))
+    (gx,) = _grads(out, g, x)
+    ref_out, ref_gx = _dropout_reference(xd, rate, 24, g)
+    _assert_same_bits(out.data, ref_out)
+    _assert_same_bits(gx, ref_gx)
+
+
+@pytest.mark.parametrize("shape", DROPOUT_SHAPES)
+def test_dropout_rule_keeps_one_bit_per_element(shape):
+    x = _leaf(np.ones(shape, dtype=np.float32))
+    kept = _kept_arrays(T.dropout(x, 0.5, np.random.default_rng(25)))
+    assert len(kept) == 1
+    assert kept[0].dtype == np.uint8 and kept[0].shape == (-(-x.size // 8),)
+
+
+# -- conv2d -----------------------------------------------------------------
+
+def _im2col_reference(xp, kh, kw, sh, sw, oh, ow):
+    """Columns [b, ci*kh*kw, oh*ow] in the input's dtype, as the rule that
+    kept them built them."""
+    b, ci = xp.shape[:2]
+    cols = np.empty((b, ci, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
+    return cols.reshape(b, ci * kh * kw, oh * ow)
+
+
+def _conv2d_reference(xd, wd, bd, stride, g):
+    """The rule that kept the im2col columns: output and the gradients of the
+    input, weight and bias."""
+    (b, ci, h, w), (co, _, kh, kw), (sh, sw) = xd.shape, wd.shape, stride
+    oh, ow = (h - 1) // sh + 1, (w - 1) // sw + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = _im2col_reference(xp, kh, kw, sh, sw, oh, ow)
+    wf = wd.reshape(co, ci * kh * kw)
+    out = np.matmul(_wide(wf), _wide(cols)).astype(xd.dtype).reshape(b, co, oh, ow)
+    out += bd.reshape(1, co, 1, 1)
+    gf = _wide(g.reshape(b, co, oh * ow))
+    gw = np.matmul(gf, _wide(cols).swapaxes(1, 2)).sum(axis=0).reshape(wd.shape)
+    gcols = np.matmul(_wide(wf).T, gf).reshape(b, ci, kh, kw, oh, ow)
+    gxp = np.zeros(xp.shape)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
+    gx = gxp[:, :, 1:1 + h, 1:1 + w]
+    return out, [a.astype(xd.dtype) for a in (gx, gw, g.sum(axis=(0, 2, 3)))]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("stride", [(2, 2), (2, 1), (1, 1)])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_conv2d_matches_the_rule_that_kept_the_columns(dtype, stride, input_grad):
+    rng = np.random.default_rng(26)
+    xd, wd, bd = (rng.normal(size=s).astype(dtype) for s in ((2, 3, 6, 8), (4, 3, 3, 3), (4,)))
+    x = Tensor(xd.copy(), requires_grad=input_grad)
+    weight, bias = _leaf(wd.copy()), _leaf(bd.copy())
+    out = T.conv2d(x, weight, bias, stride)
+    g = rng.normal(size=out.shape).astype(dtype)
+    gx, gw, gb = _grads(out, g, x, weight, bias)
+    ref_out, (ref_gx, ref_gw, ref_gb) = _conv2d_reference(xd, wd, bd, stride, g)
+    _assert_same_bits(out.data, ref_out)
+    _assert_same_bits(gw, ref_gw)
+    _assert_same_bits(gb, ref_gb)
+    if input_grad:
+        _assert_same_bits(gx, ref_gx)
+    else:
+        assert gx is None
+
+
+@pytest.mark.parametrize("stride", [(2, 2), (2, 1), (1, 1)])
+def test_conv2d_rule_keeps_the_padded_input_not_the_columns(stride):
+    rng = np.random.default_rng(27)
+    x = _leaf(rng.normal(size=(2, 3, 6, 8)).astype(np.float32))
+    out = T.conv2d(x, _leaf(rng.normal(size=(4, 3, 3, 3)).astype(np.float32)),
+                   _leaf(np.zeros(4, dtype=np.float32)), stride)
+    cols_shape = (2, 3 * 3 * 3, out.shape[2] * out.shape[3])
+    kept = _kept_arrays(out)
+    assert all(a.shape != cols_shape for a in kept)
+    assert (2, 3, 8, 10) in [a.shape for a in kept]
+    assert all(a is not x.data for a in kept)
 
 
 # -- normalization ----------------------------------------------------------
@@ -234,6 +372,6 @@ def test_conv2d_bias_matches_the_plain_expression(dtype):
     xd, wd, bd = (rng.normal(size=s).astype(dtype) for s in ((2, 3, 6, 8), (4, 3, 3, 3), (4,)))
     out = T.conv2d(_leaf(xd), _leaf(wd), _leaf(bd), stride=(2, 1))
     xp = np.pad(xd, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    cols = T._im2col(xp, 3, 3, 2, 1, 3, 8)
+    cols = _im2col_reference(xp, 3, 3, 2, 1, 3, 8)
     product = np.matmul(_wide(wd.reshape(4, 27)), _wide(cols)).astype(dtype)
     _assert_same_bits(out.data, product.reshape(2, 4, 3, 8) + bd.reshape(1, 4, 1, 1))

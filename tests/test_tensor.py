@@ -456,14 +456,14 @@ def _param(*shape):
                   requires_grad=True)
 
 
-# Ops whose rule reads none of the input's values and whose output is a
-# fresh array, on an [2, 3, 4, 4] input.
+# Ops whose rule holds no reference to the input's array (conv2d keeps a
+# zero-padded copy) and whose output is a fresh array, on an [2, 3, 4, 4]
+# input.
 _INPUT_UNREAD = {
     "add": lambda x: T.add(x, _param(4)),
     "mul_by_constant": lambda x: x * 0.5,
     "dropout": lambda x: T.dropout(x, 0.5, np.random.default_rng(0)),
     "gelu": T.gelu,
-    "softmax": T.softmax,
     "log_softmax": T.log_softmax,
     "apply_attention_mask": lambda x: T.apply_attention_mask(x, np.eye(4, dtype=bool)),
     "conv2d": lambda x: T.conv2d(x, _param(2, 3, 3, 3), _param(2), stride=(1, 1)),
@@ -475,6 +475,7 @@ _INPUT_UNREAD = {
 _INPUT_READ = {
     "matmul": lambda x: T.matmul(x, _param(4, 5)),
     "layernorm": lambda x: T.layernorm(x, _param(4), _param(4)),
+    "softmax": T.softmax,
 }
 
 
