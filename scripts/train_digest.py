@@ -3,7 +3,7 @@ training bit-identical.
 
     python3 scripts/train_digest.py
 
-prints four lines, ``<run> <sha256>``:
+prints five lines, ``<run> <sha256>``:
 
 - ``c08``: the svtr-micro overfit recipe of acceptance criterion c08
   (corpus seed 123, model and train seed 42, lr 0.03, 300 epochs), over
@@ -16,7 +16,12 @@ prints four lines, ``<run> <sha256>``:
   and f32;
 - ``t-infer``: the svtr-t eval logits of 8 seed-7 images, at batch 8 and
   each image alone at batch 1, from a model restored from the checkpoint of
-  ``SvtrModel(svtr-t, seed=7)``.
+  ``SvtrModel(svtr-t, seed=7)``;
+- ``data``: the images, labels and ids that ``load_dataset`` reads back
+  after ``save_dataset``, for the svtr-micro corpus of seed 123 at 16x64
+  and the svtr-t corpus of seed 7 at 32x128, plus the svtr-t corpus loaded
+  at 16x64 (a nearest-neighbour resize) and one gray PGM image loaded at
+  both sizes.
 
 BLAS is pinned to one thread before numpy loads, because a threaded GEMM
 may sum in another order.  The script imports ``svtr`` from the ``src``
@@ -44,7 +49,7 @@ from svtr import gradcheck  # noqa: E402
 from svtr.checkpoint import restore_model, save_checkpoint  # noqa: E402
 from svtr.config import PRESETS  # noqa: E402
 from svtr.ctc import Charset  # noqa: E402
-from svtr.data import gen_dataset  # noqa: E402
+from svtr.data import gen_dataset, load_dataset, load_image, save_dataset, write_pnm  # noqa: E402
 from svtr.model import SvtrModel  # noqa: E402
 from svtr.train import train  # noqa: E402
 
@@ -101,9 +106,36 @@ def t_infer() -> str:
     return h.hexdigest()
 
 
+def _update_image(h, image: np.ndarray):
+    h.update(f"{image.dtype} {image.shape}".encode())
+    h.update(image.tobytes())
+
+
+def data_bytes() -> str:
+    h = hashlib.sha256()
+    charset = Charset()
+    micro, t = PRESETS["svtr-micro"], PRESETS["svtr-t"]
+    with tempfile.TemporaryDirectory() as tmp:
+        loads = []
+        for name, cfg, seed, max_len in (("micro", micro, 123, 5), ("t", t, 7, 16)):
+            corpus = gen_dataset(64, charset, (1, max_len), cfg.input_h, cfg.input_w, seed=seed)
+            save_dataset(corpus, Path(tmp) / name, charset)
+            loads.append((name, cfg.input_h, cfg.input_w, cfg.max_label_len))
+        loads.append(("t", micro.input_h, micro.input_w, t.max_label_len))
+        for name, height, width, max_label_len in loads:
+            for sample in load_dataset(Path(tmp) / name, height, width, charset, max_label_len):
+                h.update(f"{sample.id} {sample.label.indices}".encode())
+                _update_image(h, sample.image)
+        gray = Path(tmp) / "gray.pgm"
+        write_pnm(gray, (np.arange(16 * 64).reshape(16, 64) * 7 % 256).astype(np.uint8))
+        for cfg in (micro, t):
+            _update_image(h, load_image(gray, cfg.input_h, cfg.input_w))
+    return h.hexdigest()
+
+
 def main() -> int:
     for name, fn in (("c08", c08), ("t-train", t_train), ("gradcheck", gradcheck_errors),
-                     ("t-infer", t_infer)):
+                     ("t-infer", t_infer), ("data", data_bytes)):
         print(name, fn(), flush=True)
     return 0
 

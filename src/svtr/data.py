@@ -3,10 +3,24 @@
 Rendered corpora and external data share one on-disk layout: a directory
 with ``labels.tsv`` (``image-path<TAB>text`` per line, paths relative to the
 directory) and 8-bit binary PGM/PPM images.
+
+A corpus's bits depend on which random draws are made and in what order.
+``gen_dataset`` draws, per sample from its seeded generator: the label
+length, then all its symbol indices in one call, then the render seed.
+``render_text`` draws from a generator seeded with that render seed: two
+integers per glyph, the x jitter then the y jitter, glyph by glyph, and
+then, with noise on, one normal per pixel of the [h, w] canvas.  All the
+jitters come from one call; each bounded integer takes its own 32-bit
+output of the bit generator, so that call draws what one scalar call per
+jitter would.
+
+The scaled glyph masks are built once per process, on first use, and kept:
+at most 36 symbols x 2 glyph scales for text over the default charset.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -37,6 +51,15 @@ def _row_width(n_glyphs: int, scale: int) -> int:
     return n_glyphs * _advance(scale) - scale
 
 
+@functools.lru_cache(maxsize=None)
+def _glyph_mask(ch: str, scale: int) -> np.ndarray:
+    """``font.glyph(ch)`` with each pixel a ``scale`` x ``scale`` block;
+    read-only, since every call with the same arguments returns it."""
+    mask = np.kron(font.glyph(ch), np.ones((scale, scale), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def render_text(text: str, h: int, w: int, noise_sigma: float = NOISE_SIGMA,
                 seed: int = 0) -> np.ndarray:
     """Render dark glyphs on a light background, plus Gaussian noise of
@@ -58,20 +81,19 @@ def render_text(text: str, h: int, w: int, noise_sigma: float = NOISE_SIGMA,
                 f"text of length {len(text)} does not fit a {h}x{w} image at minimum scale")
         x = max(0, (w - _row_width(len(text), scale)) // 2)
         y_base = (h - font.GLYPH_H * scale) // 2
-        for ch in text:
-            mask = np.kron(font.glyph(ch), np.ones((scale, scale), dtype=bool))
-            jx = int(rng.integers(-JITTER, JITTER + 1))
-            jy = int(rng.integers(-JITTER, JITTER + 1))
-            gx = int(np.clip(x + jx, 0, w - mask.shape[1]))
-            gy = int(np.clip(y_base + jy, 0, h - mask.shape[0]))
-            region = canvas[gy:gy + mask.shape[0], gx:gx + mask.shape[1]]
-            region[mask] = ink
+        jitters = rng.integers(-JITTER, JITTER + 1, size=(len(text), 2)).tolist()
+        for ch, (jx, jy) in zip(text, jitters):
+            mask = _glyph_mask(ch, scale)
+            mh, mw = mask.shape
+            gx = min(max(x + jx, 0), w - mw)
+            gy = min(max(y_base + jy, 0), h - mh)
+            canvas[gy:gy + mh, gx:gx + mw][mask] = ink
             x += _advance(scale)
 
     if noise_sigma > 0:
-        canvas = canvas + rng.normal(0.0, noise_sigma, size=canvas.shape)
-    canvas = np.clip(canvas, 0.0, 1.0).astype(np.float32)
-    return np.repeat(canvas[None, :, :], 3, axis=0)
+        canvas += rng.normal(0.0, noise_sigma, size=canvas.shape)
+    np.clip(canvas, 0.0, 1.0, out=canvas)
+    return np.repeat(canvas.astype(np.float32)[None, :, :], 3, axis=0)
 
 
 def gen_dataset(n: int, charset: Charset, len_range: tuple[int, int],
@@ -119,6 +141,10 @@ def write_pnm(path, image: np.ndarray):
         fh.write(payload)
 
 
+# The float32 value of each 8-bit level: the division ``level / 255.0`` in f32.
+_LEVELS = np.arange(256).astype(np.float32) / 255.0
+
+
 def read_pnm(path) -> np.ndarray:
     """Read binary 8-bit PGM ([h, w]) or PPM ([3, h, w]) as float32 in [0, 1]."""
     with open(path, "rb") as fh:
@@ -156,10 +182,10 @@ def read_pnm(path) -> np.ndarray:
     payload = data[pos:pos + expected]
     if len(payload) != expected:
         raise DatasetError(f"{path}: truncated payload")
-    img = np.frombuffer(payload, dtype=np.uint8).astype(np.float32) / 255.0
+    levels = np.frombuffer(payload, dtype=np.uint8)
     if channels == 1:
-        return img.reshape(h, w)
-    return img.reshape(h, w, 3).transpose(2, 0, 1)
+        return _LEVELS[levels.reshape(h, w)]
+    return _LEVELS[levels.reshape(h, w, 3).transpose(2, 0, 1)]
 
 
 def _resize_nearest(image: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -175,7 +201,9 @@ def load_image(path, h: int, w: int) -> np.ndarray:
     image = read_pnm(path)
     if image.ndim == 2:
         image = np.repeat(image[None], 3, axis=0)
-    return _resize_nearest(image, h, w).astype(np.float32)
+    if image.shape[1:] != (h, w):
+        image = _resize_nearest(image, h, w)
+    return image
 
 
 # -- directory layout -------------------------------------------------------

@@ -103,12 +103,21 @@ DEFAULT_SEED = 42
 
 
 def _trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Normal(0, INIT_STD) with redraws outside +-2 INIT_STD."""
-    x = rng.standard_normal(shape) * INIT_STD
-    bad = np.abs(x) > 2 * INIT_STD
-    while bad.any():
-        x[bad] = rng.standard_normal(int(bad.sum())) * INIT_STD
-        bad = np.abs(x) > 2 * INIT_STD
+    """Normal(0, INIT_STD) with redraws outside +-2 INIT_STD, as float32.
+
+    The bits depend on the draws and their order: one call for
+    ``prod(shape)`` standard normals, then rounds of one call each, for as
+    many normals as values are still outside the bound, written to those
+    values in flat C order.  Only the new draws of a round are tested again.
+    """
+    x = rng.standard_normal(shape)
+    x *= INIT_STD
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * INIT_STD)
+    while bad.size:
+        redraw = rng.standard_normal(bad.size) * INIT_STD
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2 * INIT_STD]
     return x.astype(np.float32)
 
 

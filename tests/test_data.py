@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from svtr import font
+from svtr import data, font
 from svtr.ctc import DEFAULT_SYMBOLS, Charset
 from svtr.data import (LabeledSample, gen_dataset, load_dataset, load_image,
                        read_pnm, render_text, save_dataset, write_pnm)
@@ -95,6 +95,36 @@ def test_gen_dataset_renders_the_longest_length_that_fits():
 def test_render_style_rejects_bad_noise_sigma(sigma):
     with pytest.raises(ContractError, match="noise_sigma"):
         render_text("abc", 16, 64, noise_sigma=sigma)
+
+
+@pytest.mark.parametrize("text,ch", [("a_b", "_"), ("\u0130", "\u0130"), ("ab c", " ")])
+def test_render_text_names_a_character_without_a_glyph(text, ch):
+    with pytest.raises(RenderError, match=f"no glyph for character {ch!r}"):
+        render_text(text, 32, 128)
+    with pytest.raises(RenderError):
+        font.glyph(ch)
+
+
+def test_rendering_shares_no_writable_state():
+    first = render_text("ab1", 32, 128, seed=3)
+    expected = first.copy()
+    first[...] = 0.0
+    np.testing.assert_array_equal(render_text("ab1", 32, 128, seed=3), expected)
+    assert not data._glyph_mask("a", 2).flags.writeable
+
+
+def test_loaded_image_is_writable_and_private(tmp_path):
+    for path, image in ((tmp_path / "x.ppm", render_text("7q", 16, 64, seed=1)),
+                        (tmp_path / "x.pgm", render_text("7q", 16, 64, seed=1)[0])):
+        write_pnm(path, image)
+        for hw in ((16, 64), (32, 128)):
+            first = load_image(path, *hw)
+            expected = first.copy()
+            first[...] = 0.0
+            np.testing.assert_array_equal(load_image(path, *hw), expected)
+        back = read_pnm(path)
+        back[...] = 0.0
+        assert read_pnm(path).any()
 
 
 def test_pnm_roundtrip_gray(tmp_path):
