@@ -28,11 +28,56 @@ A leaf's node may hold a ``slot``: a view of a flat gradient buffer that
 first gradient is copied into its slot, later ones are added to it in
 place, and ``.grad = value`` writes into it.  Slots are disjoint views, so
 no two parameters share a ``grad``.
+
+Large ops share their work with one helper thread, through ``_pair``, which
+runs two independent computations at once, and ``_in_halves``, which runs
+one on the two halves of the first leading axis longer than 1.  Each piece
+is computed as the whole op computes it, so the bits do not depend on the
+helper:
+
+- the backward of ``matmul`` (both branches) and of ``conv2d`` computes the
+  weight gradient, for ``conv2d`` with the column rebuild, on the helper
+  and the input gradient here: GEMMs that share no output, each still one
+  call; ``_accumulate`` then runs here in the usual order;
+- the forward of a batched ``matmul`` splits the stack: numpy makes one GEMM
+  call per matrix, so no matrix depends on the rest of the stack;
+- ``softmax`` (both passes), ``gelu`` (both passes), the forward of
+  ``layernorm`` and the per-row part of its backward split the rows: a
+  row's reductions and elementwise operations read only that row, with the
+  same operations, order and layout; the gamma and beta sums over the
+  leading axes run whole, here;
+- nothing else splits.  A 2-D GEMM split by rows could take another OpenBLAS
+  kernel and round differently, and a split reduction over leading axes
+  would sum in another order.  Dropout's draw, AdamW and clipping stay
+  whole.
+
+Four rules hold for the helper:
+
+1. A task writes only into arrays this thread allocated (``out=``,
+   ``np.copyto``).  glibc gives the helper a malloc arena of its own, which
+   keeps what the helper frees: when the weight-gradient tasks allocated
+   their own outputs, svtr-t training peaked at 354 MB instead of 333 MB.
+2. A task runs under a copy of the caller's context, where numpy 2 keeps
+   ``errstate``; a fresh thread starts without it.
+3. A task never calls an op function: those are the module-level names a
+   tracer may wrap, and a tracer keeps one span stack.
+4. Below ``_HALF_ELEMENTS`` elements or ``_PAIR_MACS`` multiply-adds, an op
+   runs whole on the calling thread and submits no task, and ``_pair``
+   makes no buffer ahead.  Every svtr-micro op, and every forward op of
+   svtr-t at batch 1, stays below.  The pool starts with the first op above
+   them, never at import, and a forked child drops its copy.
+
+The helper is the second core of a two-core host; run with
+``OPENBLAS_NUM_THREADS=1``, or OpenBLAS threads compete with it.
 """
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erf
@@ -254,6 +299,81 @@ def _wide(a: np.ndarray) -> np.ndarray:
     return a if a.dtype == np.float64 else a.astype(np.float64)
 
 
+# -- the helper thread --------------------------------------------------------
+
+# Below these sizes an op runs whole on the calling thread.  They come from
+# whole-model timings on a 2-vCPU host: splitting the ~0.3 ms ops of one
+# svtr-t image (its 2^17-element softmax, its 2^21- and 2^22-MAC attention
+# GEMMs) made a batch-1 forward up to 15% slower, though each op alone got
+# faster, while a batch-8 svtr-t forward and backward took the same 0.46 s
+# (0.58 s whole) with these bounds as with 2^17 and 2^21.  The largest
+# svtr-micro ops at batch 16 (2^16 softmax elements, 2^19.2 GEMM MACs) sit
+# far below.
+_HALF_ELEMENTS = 2**18
+_PAIR_MACS = 2**23
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _helper() -> ThreadPoolExecutor:
+    """The one-thread pool, started by the first op large enough to use it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svtr-helper")
+        return _pool
+
+
+def _forget_helper():
+    # A forked child holds a copy of the pool that counts the parent's
+    # thread, which did not survive the fork: tasks would wait forever.  The
+    # lock may have been held by a thread that did not survive either.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _both(first, second):
+    """``(first(), second())``, with ``second`` on the helper under a copy of
+    the caller's context (numpy's ``errstate`` is a context variable), and
+    ``first`` here.  Returns, or raises, once both are done."""
+    task = _helper().submit(contextvars.copy_context().run, second)
+    try:
+        result = first()
+    finally:
+        other = task.result()
+    return result, other
+
+
+def _pair(f, g, macs: int, *shapes):
+    """``(f(), g(*buffers))`` for two independent computations of ``macs``
+    multiply-adds each.  From ``_PAIR_MACS`` on, ``g`` runs on the helper
+    and writes into f64 buffers of ``shapes`` made here; below, it gets None
+    for each and allocates as it goes, as numpy's ``out=None`` does."""
+    if macs < _PAIR_MACS:
+        return f(), g(*(None,) * len(shapes))
+    buffers = [np.empty(shape) for shape in shapes]
+    return _both(f, lambda: g(*buffers))
+
+
+def _in_halves(part, arrays: tuple, lead: tuple, size: int, least: int | None = None):
+    """``part(*arrays)``; once ``size`` reaches ``least`` (``_HALF_ELEMENTS``
+    if None), ``part`` on the two halves of the arrays instead, the second on
+    the helper.  The halves cut the first axis of ``lead``, the leading axes
+    every array shares, that is longer than 1; seven rows split 3/4."""
+    if size >= (_HALF_ELEMENTS if least is None else least):
+        for axis, n in enumerate(lead):
+            if n > 1:
+                head = (slice(None),) * axis
+                first = [a[head + (slice(None, n // 2),)] for a in arrays]
+                second = [a[head + (slice(n // 2, None),)] for a in arrays]
+                _both(lambda: part(*first), lambda: part(*second))
+                return
+    part(*arrays)
+
+
 # -- elementwise ------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -296,27 +416,33 @@ def gelu(x: Tensor) -> Tensor:
     test pins this).  When the input requires grad, the derivative is
     computed here and is the one array the rule keeps.
     """
-    xd = x.data
-    z = xd * _INV_SQRT2
-    e = np.abs(z)
-    erf(e, out=e)
-    np.copysign(e, z, out=e)
-    e += 1.0  # 1 + erf
-    out_data = 0.5 * xd
-    out_data *= e
-    xn = x._node
-    if xn is not None:
-        # d = 0.5 * (1 + erf) + x * exp(-0.5 * x * x) / sqrt(2 pi), in z's buffer.
-        d = np.multiply(xd, -0.5, out=z)
-        d *= xd
-        np.exp(d, out=d)
-        d *= xd
-        d *= _INV_SQRT_2PI
-        e *= 0.5
-        d += e
+    xd, xn = x.data, x._node
+    z, e, out_data = np.empty_like(xd), np.empty_like(xd), np.empty_like(xd)
+
+    def part(xi, zi, ei, oi):
+        np.multiply(xi, _INV_SQRT2, out=zi)
+        np.abs(zi, out=ei)
+        erf(ei, out=ei)
+        np.copysign(ei, zi, out=ei)
+        ei += 1.0  # 1 + erf
+        np.multiply(xi, 0.5, out=oi)
+        oi *= ei
+        if xn is not None:
+            # d = 0.5 * (1 + erf) + x * exp(-0.5 * x * x) / sqrt(2 pi), in z's buffer.
+            np.multiply(xi, -0.5, out=zi)
+            zi *= xi
+            np.exp(zi, out=zi)
+            zi *= xi
+            zi *= _INV_SQRT_2PI
+            ei *= 0.5
+            zi += ei
+
+    _in_halves(part, (xd, z, e, out_data), xd.shape, xd.size)
+    d = z
 
     def bwd(g):
-        _accumulate(xn, np.multiply(g, d, out=d))
+        _in_halves(np.multiply, (g, d, d), d.shape, d.size)  # g * d, into d
+        _accumulate(xn, d)
 
     return _make(out_data, (x,), bwd)
 
@@ -431,13 +557,15 @@ def mean_pool_height(x: Tensor) -> Tensor:
 # -- linear algebra ---------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """a @ b; a 2-D ``b`` may take a ``bias`` added to every output row."""
+    """a @ b; a 2-D ``b`` may take a ``bias`` added to every output row.  A
+    batched product takes operands with equal leading axes."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul expects rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     a_data, b_data, a_shape, b_shape = a.data, b.data, a.shape, b.shape
     an, bn = a._node, b._node
+    macs = a.size * b_shape[-1]
     if b.data.ndim == 2:
         # [..., d_in] @ [d_in, d_out] as one 2-D GEMM over the flattened
         # rows, so the weight gradient is one GEMM rather than one per
@@ -454,32 +582,48 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         def bwd(g):
             if bias_node is not None:
                 _accumulate(bias_node, _unbroadcast(g, bias_shape))
-            g64 = _wide(g.reshape(-1, d_out))
-            _accumulate(an, (g64 @ _wide(b_data).T).reshape(a_shape))
-            _accumulate(bn, _wide(a_data.reshape(-1, d_in)).T @ g64)
+            g64, a64 = _wide(g.reshape(-1, d_out)), _wide(a_data.reshape(-1, d_in))
+            ga, gb = _pair(lambda: g64 @ _wide(b_data).T,
+                           lambda out: np.matmul(a64.T, g64, out=out), macs, (d_in, d_out))
+            _accumulate(an, ga.reshape(a_shape))
+            _accumulate(bn, gb)
 
         return _make(out_data.reshape(*a.shape[:-1], d_out), parents, bwd)
     if bias is not None:
         raise ShapeError(f"matmul takes a bias only with a 2-D right operand, got {b.shape}")
-    out_data = np.matmul(_wide(a.data), _wide(b.data)).astype(a.dtype)
+    lead = a_shape[:-2]
+    if b_shape[:-2] != lead:
+        raise ShapeError(f"batched matmul needs equal leading axes, got {a.shape} x {b.shape}")
+    # numpy makes one GEMM call per matrix of the stack, so each half of the
+    # stack gets the bits it gets in one call.
+    out_shape = (*a_shape[:-1], b_shape[-1])
+    out_data, out64 = np.empty(out_shape, a.dtype), np.empty(out_shape)
+
+    def part(a64, b64, o64, o):
+        np.copyto(o, np.matmul(a64, b64, out=o64))
+
+    _in_halves(part, (_wide(a_data), _wide(b_data), out64, out_data), lead, macs, _PAIR_MACS)
 
     def bwd(g):
-        g64 = _wide(g)
-        ga = np.matmul(g64, _wide(b_data).swapaxes(-1, -2))
-        gb = np.matmul(_wide(a_data).swapaxes(-1, -2), g64)
-        _accumulate(an, _unbroadcast(ga, a_shape))
-        _accumulate(bn, _unbroadcast(gb, b_shape))
+        g64, a64 = _wide(g), _wide(a_data)
+        ga, gb = _pair(lambda: np.matmul(g64, _wide(b_data).swapaxes(-1, -2)),
+                       lambda out: np.matmul(a64.swapaxes(-1, -2), g64, out=out), macs, b_shape)
+        _accumulate(an, ga)
+        _accumulate(bn, gb)
 
     return _make(out_data, (a, b), bwd)
 
 
 # -- convolution ------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int):
-    """The f64 columns [b, ci*kh*kw, oh*ow] of the padded input; the GEMMs
-    read them wide, so they are widened as they are gathered."""
+def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int,
+            cols: np.ndarray | None = None):
+    """The f64 columns [b, ci*kh*kw, oh*ow] of the padded input, gathered
+    into ``cols`` [b, ci, kh, kw, oh, ow] or a fresh array; the GEMMs read
+    them wide, so they are widened as they are gathered."""
     b, ci = xp.shape[:2]
-    cols = np.empty((b, ci, kh, kw, oh, ow))
+    if cols is None:
+        cols = np.empty((b, ci, kh, kw, oh, ow))
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
@@ -515,77 +659,109 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride) -> Tensor:
     # kh * kw / (sh * sw) times its size, and rebuilds the columns for the
     # weight gradient.
     xn, wn, bn = x._node, weight._node, bias._node
+    # An input that requires no grad (the image batch of the first conv) gets
+    # no input-gradient work, so nothing to pair the weight gradient with.
+    macs = b * co * ci * kh * kw * oh * ow if xn is not None else 0
 
     def bwd(g):
         gf = _wide(g.reshape(b, co, oh * ow))
-        cols = _im2col(xp, kh, kw, sh, sw, oh, ow)
-        # b GEMMs and a sum over b: an einsum here never reaches BLAS.
-        gw = np.matmul(gf, cols.swapaxes(1, 2)).sum(axis=0).reshape(co, ci, kh, kw)
-        del cols
-        _accumulate(wn, gw)
+
+        def weight_grad(cols, gw):
+            # b GEMMs and a sum over b: an einsum here never reaches BLAS.
+            cols = _im2col(xp, kh, kw, sh, sw, oh, ow, cols)
+            return np.matmul(gf, cols.swapaxes(1, 2), out=gw)
+
+        def input_grad():
+            if xn is None:
+                return None
+            gcols = np.matmul(_wide(wf).T, gf)                       # [b, ci*kh*kw, oh*ow]
+            gcols = gcols.reshape(b, ci, kh, kw, oh, ow)
+            gxp = np.zeros(xp.shape)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
+            return gxp[:, :, ph:ph + h, pw:pw + w] if ph or pw else gxp
+
+        gx, gw = _pair(input_grad, weight_grad, macs, (b, ci, kh, kw, oh, ow), (b, co, ci * kh * kw))
+        _accumulate(wn, gw.sum(axis=0).reshape(co, ci, kh, kw))
         _accumulate(bn, g.sum(axis=(0, 2, 3)))
-        if xn is None:
-            # An input that requires no grad (the image batch of the first
-            # conv) gets no input-gradient work.
-            return
-        gcols = np.matmul(_wide(wf).T, gf)                           # [b, ci*kh*kw, oh*ow]
-        gcols = gcols.reshape(b, ci, kh, kw, oh, ow)
-        gxp = np.zeros(xp.shape)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw] += gcols[:, :, i, j]
-        if ph or pw:
-            gxp = gxp[:, :, ph:ph + h, pw:pw + w]
-        _accumulate(xn, gxp)
+        _accumulate(xn, gx)
 
     return _make(out_data, (x, weight, bias), bwd)
 
 
 # -- normalization ----------------------------------------------------------
 
-def _moments(x: np.ndarray, axis, n: int):
-    """Mean, centered input and biased variance over ``axis``, which holds
-    ``n`` elements, all in f64; the statistics keep size-1 axes.  Bitwise
-    equal to the ``mean`` and ``var`` of ``x`` in f64 (the same sums and
-    divisions in the same order), with the input centered once for both.
-    The centered input is a fresh array the caller may overwrite."""
-    xc = x.astype(np.float64)
-    mu = np.add.reduce(xc, axis=axis, keepdims=True) / n
+def _moments(x: np.ndarray, axis, n: int, xc: np.ndarray, mu: np.ndarray,
+             var: np.ndarray, sq: np.ndarray):
+    """Fill ``mu`` and ``var`` with the f64 mean and biased variance of ``x``
+    over ``axis``, which holds ``n`` elements, and ``xc`` with the centered
+    input: buffers the caller allocated, ``xc`` and the scratch ``sq`` f64
+    with ``x``'s layout, the statistics keeping size-1 axes.  Bitwise equal
+    to the ``mean`` and ``var`` of ``x`` in f64 (the same sums and divisions
+    in the same order), with the input centered once for both."""
+    np.copyto(xc, x)
+    np.add.reduce(xc, axis=axis, keepdims=True, out=mu)
+    mu /= n
     xc -= mu
-    return mu, xc, np.add.reduce(xc * xc, axis=axis, keepdims=True) / n
+    np.add.reduce(np.multiply(xc, xc, out=sq), axis=axis, keepdims=True, out=var)
+    var /= n
 
 
 def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Over the last axis.  A large input is normalized, and gets the
+    per-row part of its gradient, in two halves of the rows."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layernorm affine shape {gamma.shape}/{beta.shape} does not match last dim {d}")
     xd, gd = x.data, gamma.data
-    mu, y, var = _moments(xd, -1, d)
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    # (x - mu) * inv * gamma + beta, in place.
-    y *= inv
-    y *= _wide(gd)
-    y += _wide(beta.data)
-    out_data = y.astype(x.dtype)
+    gam, bet = _wide(gd), _wide(beta.data)
+    stats = x.shape[:-1] + (1,)
+    y, sq = np.empty_like(xd, dtype=np.float64), np.empty_like(xd, dtype=np.float64)
+    mu, inv, out_data = np.empty(stats), np.empty(stats), np.empty_like(xd)
+
+    def part(xi, yi, mu_i, inv_i, sq_i, out_i):
+        _moments(xi, -1, d, yi, mu_i, inv_i, sq_i)
+        # 1 / sqrt(var + eps) in var's buffer; (x - mu) * inv * gamma + beta
+        # in place.
+        inv_i += NORM_EPS
+        np.sqrt(inv_i, out=inv_i)
+        np.divide(1.0, inv_i, out=inv_i)
+        yi *= inv_i
+        yi *= gam
+        yi += bet
+        np.copyto(out_i, yi)
+
+    _in_halves(part, (xd, y, mu, inv, sq, out_data), stats[:-1], x.size)
     xn, gn, bn = x._node, gamma._node, beta._node
 
     def bwd(g):
         # x-hat is rebuilt from the input and the statistics rather than
         # kept from the forward: the same f64 operations give the same bits.
-        xhat = _wide(xd) - mu
-        xhat *= inv
-        g64 = _wide(g)
-        dxhat = g64 * _wide(gd)
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        # inv * (dxhat - m1 - xhat * m2), in place.
-        dxhat -= m1
-        dxhat -= xhat * m2
-        dxhat *= inv
+        xhat, g64 = np.empty_like(xd, dtype=np.float64), _wide(g)
+        dxhat, t, m1, m2 = np.empty_like(g64), np.empty_like(g64), np.empty(stats), np.empty(stats)
+        gam = _wide(gd)
+
+        def part(xi, gi, xh, dx, ti, mu_i, inv_i, m1, m2):
+            np.copyto(xh, xi)
+            xh -= mu_i
+            xh *= inv_i
+            np.multiply(gi, gam, out=dx)
+            # The means of dxhat and dxhat * xhat, as ``mean`` takes them.
+            np.add.reduce(dx, axis=-1, keepdims=True, out=m1)
+            m1 /= d
+            np.add.reduce(np.multiply(dx, xh, out=ti), axis=-1, keepdims=True, out=m2)
+            m2 /= d
+            # inv * (dxhat - m1 - xhat * m2), in place.
+            dx -= m1
+            dx -= np.multiply(xh, m2, out=ti)
+            dx *= inv_i
+
+        _in_halves(part, (xd, g64, xhat, dxhat, t, mu, inv, m1, m2), stats[:-1], g.size)
         _accumulate(xn, dxhat)
         axes = tuple(range(g64.ndim - 1))
-        _accumulate(gn, (g64 * xhat).sum(axis=axes))
-        _accumulate(bn, g64.sum(axis=axes))
+        _accumulate(gn, np.add.reduce(np.multiply(g64, xhat, out=t), axis=axes))
+        _accumulate(bn, np.add.reduce(g64, axis=axes))
 
     return _make(out_data, (x, gamma, beta), bwd)
 
@@ -605,7 +781,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     bet = _wide(beta.data).reshape(1, c, 1, 1)
     n = x.shape[0] * x.shape[2] * x.shape[3]
     if training:
-        mu, y, var = _moments(xd, (0, 2, 3), n)
+        y, mu, var = np.empty_like(xd, dtype=np.float64), np.empty(gam.shape), np.empty(gam.shape)
+        _moments(xd, (0, 2, 3), n, y, mu, var, np.empty_like(y))
         m = BN_MOMENTUM
         running_mean[...] = m * running_mean + (1 - m) * mu.reshape(c)
         running_var[...] = m * running_var + (1 - m) * var.reshape(c)
@@ -648,30 +825,43 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
 # -- softmax family, over the last axis -------------------------------------
 
 def softmax(x: Tensor) -> Tensor:
-    xd = x.data
-    # exp(x - max) / sum in f64, in place on one fresh array; the division
-    # rounds each quotient to f64 and then to the output's dtype.
-    y64 = xd.astype(np.float64)
-    row_max = y64.max(axis=-1, keepdims=True)
-    y64 -= row_max
-    np.exp(y64, out=y64)
-    row_sum = y64.sum(axis=-1, keepdims=True)
-    out_data = np.divide(y64, row_sum, out=np.empty_like(xd))
-    xn = x._node
+    """Over the last axis.  A large input runs each pass in two halves of the
+    rows."""
+    xd, xn = x.data, x._node
+    stats = x.shape[:-1] + (1,)
+    y64, out_data = np.empty_like(xd, dtype=np.float64), np.empty_like(xd)
+    row_max, row_sum = np.empty(stats), np.empty(stats)
+
+    def part(xi, y, m, s, out):
+        # exp(x - max) / sum in f64, in place on an f64 copy; the division
+        # rounds each quotient to f64 and then to the output's dtype.
+        np.copyto(y, xi)
+        y -= np.maximum.reduce(y, axis=-1, keepdims=True, out=m)
+        np.exp(y, out=y)
+        np.divide(y, np.add.reduce(y, axis=-1, keepdims=True, out=s), out=out)
+
+    _in_halves(part, (xd, y64, row_max, row_sum, out_data), stats[:-1], x.size)
 
     def bwd(g):
         # The rule keeps the input and the f64 row max and sum, not the f64
         # output, and rebuilds the output with the forward's operations, so
         # with its bits (after FlashAttention, arXiv 2205.14135).
-        y64 = xd.astype(np.float64)
-        y64 -= row_max
-        np.exp(y64, out=y64)
-        y64 /= row_sum
-        # y * (g - sum(g * y)), with g widened inside each operation (exact)
-        # and not written.
-        t = np.multiply(g, y64)
-        np.subtract(g, t.sum(axis=-1, keepdims=True), out=t)
-        _accumulate(xn, np.multiply(y64, t, out=np.empty_like(xd)))
+        y64, t = np.empty_like(xd, dtype=np.float64), np.empty_like(g, dtype=np.float64)
+        gx = np.empty_like(xd)
+
+        def part(xi, gi, y, t, t_sum, m, s, out):
+            np.copyto(y, xi)
+            y -= m
+            np.exp(y, out=y)
+            y /= s
+            # y * (g - sum(g * y)), with g widened inside each operation
+            # (exact) and not written.
+            np.multiply(gi, y, out=t)
+            np.subtract(gi, np.add.reduce(t, axis=-1, keepdims=True, out=t_sum), out=t)
+            np.multiply(y, t, out=out)
+
+        _in_halves(part, (xd, g, y64, t, np.empty(stats), row_max, row_sum, gx), stats[:-1], g.size)
+        _accumulate(xn, gx)
 
     return _make(out_data, (x,), bwd)
 

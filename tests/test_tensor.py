@@ -289,7 +289,8 @@ def test_norm_moments_are_bitwise_mean_and_var(dtype, shape, axis):
         before = x.copy()
         x64 = x.astype(np.float64)
         mean = x64.mean(axis=axis, keepdims=True)
-        mu, xc, var = T._moments(x, axis, x.size // mean.size)
+        xc, mu, var = np.empty_like(x, dtype=np.float64), np.empty(mean.shape), np.empty(mean.shape)
+        T._moments(x, axis, x.size // mean.size, xc, mu, var, np.empty_like(xc))
         assert mu.tobytes() == mean.tobytes()
         assert xc.tobytes() == (x64 - mean).tobytes()
         assert var.tobytes() == x64.var(axis=axis, keepdims=True).tobytes()
