@@ -155,14 +155,9 @@ def cmd_infer(args):
         raise ContractError("--dump-logits keys the logits by image path, "
                             "so no --image path may be given twice")
     model, _ = restore_model(args.checkpoint, expected_config=config)
-    model.eval()
     dumped = {}
     for path in args.image:
-        image = load_image(path, config.input_h, config.input_w)
-        # Keep only the array, so no graph outlives this image.  A blown-up
-        # model's one report is greedy_decode's error, not numpy's warnings.
-        with np.errstate(all="ignore"):
-            logits = model.forward(image[None]).data
+        logits = model.eval_logits(load_image(path, config.input_h, config.input_w)[None])
         label = greedy_decode(logits)[0]
         print(f"{path}\t{charset.decode(label)}")
         if args.dump_logits:

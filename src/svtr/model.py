@@ -322,15 +322,35 @@ class SvtrModel:
         x = self.combining(x, h, w)
         return T.matmul(x, self.params["head.weight"], self.params["head.bias"])
 
+    def eval_logits(self, images, attention: dict | None = None) -> np.ndarray:
+        """The one eval-mode forward: ``forward`` with dropout off and
+        BatchNorm stats frozen, the previous mode restored afterwards.
+
+        Returns the logits array, so no graph outlives the call.  Logits that
+        hold NaN or infinite values (a blown-up model) raise ``ContractError``.
+        """
+        was_training = self.training
+        self.training = False
+        try:
+            # A blown-up model overflows on its way to non-finite logits; the
+            # check below is its one report, not numpy's warnings.
+            with np.errstate(all="ignore"):
+                logits = self.forward(images, attention).data
+        finally:
+            self.training = was_training
+        if not np.isfinite(logits).all():
+            raise ContractError(f"logits {logits.shape} hold NaN or infinite values: "
+                                "the model's weights have blown up")
+        return logits
+
 
 def export_attention(model: SvtrModel, image, stage: int, block: int):
-    """One block's post-softmax attention and the logits, from one eval
-    forward of a batch of one image [1, 3, H, W].
+    """One block's post-softmax attention and the logits, from one
+    ``eval_logits`` forward of a batch of one image [1, 3, H, W].
 
     Returns ``(maps, logits)``: ``maps[head, query]`` is that query's row
     over the stage grid, [heads, h*w, h, w], and ``logits`` the forward's
-    [1, W/4, charset_size] array.  Logits that hold NaN or infinite values
-    (a blown-up model) raise ``ContractError``.
+    [1, W/4, charset_size] array.
     """
     cfg = model.config
     if not 1 <= stage <= 3:
@@ -343,17 +363,6 @@ def export_attention(model: SvtrModel, image, stage: int, block: int):
     h, w, _ = cfg.stage_geometry()[stage - 1]
 
     attention: dict[str, np.ndarray] = {}
-    was_training = model.training
-    model.eval()
-    try:
-        # A blown-up model overflows on its way to non-finite logits; the
-        # check below is its one report, not numpy's warnings.
-        with np.errstate(all="ignore"):
-            logits = model.forward(image, attention).data
-    finally:
-        model.training = was_training
-    if not np.isfinite(logits).all():
-        raise ContractError(f"logits {logits.shape} hold NaN or infinite values: "
-                            "the model's weights have blown up")
+    logits = model.eval_logits(image, attention)
     maps = attention[f"stage{stage}.block{block}."][0]
     return maps.reshape(-1, h * w, h, w), logits

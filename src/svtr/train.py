@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .ctc import ctc_loss, edit_accuracy, greedy_decode, min_timesteps
+from .ctc import LabelSeq, ctc_loss, edit_accuracy, greedy_decode, min_timesteps
 from .data import LabeledSample
 from .exceptions import ContractError, FeasibilityError
 from .model import SvtrModel
@@ -37,19 +37,10 @@ class EpochMetrics:
 
 
 @dataclass
-class SampleResult:
-    id: str
-    exact: bool
-    norm_edit_sim: float
-    pred: tuple
-    truth: tuple
-
-
-@dataclass
 class EvalReport:
     word_accuracy: float
     norm_edit_sim: float
-    records: list = field(default_factory=list)
+    preds: list[LabelSeq] = field(default_factory=list)
     warning: str | None = None
 
 
@@ -57,29 +48,21 @@ def evaluate(model: SvtrModel, samples: list[LabeledSample],
              batch_size: int = 64) -> EvalReport:
     """Greedy-decode every sample in eval mode; deterministic.  A model
     whose logits hold NaN or infinite values raises ``ContractError``."""
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     if not samples:
         return EvalReport(0.0, 0.0, [], warning="empty evaluation dataset")
-    was_training = model.training
-    model.eval()
-    try:
-        records = []
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start:start + batch_size]
-            images = np.stack([s.image for s in chunk])
-            # No name holds the logits: they would keep this batch's graph
-            # alive through the next batch's forward.  A blown-up model's
-            # one report is greedy_decode's error, not numpy's warnings.
-            with np.errstate(all="ignore"):
-                preds = greedy_decode(model.forward(images))
-            for sample, pred in zip(chunk, preds):
-                acc = edit_accuracy(pred, sample.label)
-                records.append(SampleResult(sample.id, acc.exact, acc.norm_edit_sim,
-                                            pred.indices, sample.label.indices))
-    finally:
-        model.training = was_training
-    n = len(records)
-    return EvalReport(sum(r.exact for r in records) / n,
-                      sum(r.norm_edit_sim for r in records) / n, records)
+    preds, exact, sim = [], 0, 0
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start:start + batch_size]
+        logits = model.eval_logits(np.stack([s.image for s in chunk]))
+        for sample, pred in zip(chunk, greedy_decode(logits)):
+            acc = edit_accuracy(pred, sample.label)
+            exact += acc.exact
+            sim += acc.norm_edit_sim
+            preds.append(pred)
+    n = len(preds)
+    return EvalReport(exact / n, sim / n, preds)
 
 
 def _check_feasible(samples: list[LabeledSample], seq_len: int):
@@ -102,6 +85,10 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
     """
     if not dataset:
         raise ContractError("training dataset is empty")
+    if epochs < 1:
+        raise ContractError(f"epochs must be at least 1, got {epochs}")
+    if batch_size < 1:
+        raise ContractError(f"batch_size must be at least 1, got {batch_size}")
     if peak_lr is not None and not 0.0 <= peak_lr < math.inf:
         raise ContractError(f"peak_lr must be finite and non-negative, got {peak_lr}")
     if warmup_epochs < 0:
@@ -128,17 +115,17 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
     )
     optimizer = AdamW(model.params)
 
-    log_fh = None
-    if log_path is not None:
-        log_fh = open(log_path, "w", encoding="utf-8")
-        log_fh.write(METRICS_HEADER)
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
 
     history: list[EpochMetrics] = []
     best_accuracy = -1.0
     global_step = 0
+    log_fh = None
     try:
+        if log_path is not None:
+            log_fh = open(log_path, "w", encoding="utf-8")
+            log_fh.write(METRICS_HEADER)
         for epoch in range(epochs):
             model.train()
             epoch_rng = np.random.default_rng((seed, 1, epoch))

@@ -247,7 +247,7 @@ def test_c10_checkpoint_roundtrip(tmp_path):
     after = evaluate(restored, dataset)
     assert after.word_accuracy == before.word_accuracy
     assert after.norm_edit_sim == before.norm_edit_sim
-    assert [r.pred for r in after.records] == [r.pred for r in before.records]
+    assert after.preds == before.preds
 
     blob = bytearray(path.read_bytes())
     blob[-3] ^= 0x01

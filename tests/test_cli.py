@@ -134,6 +134,20 @@ def test_train_without_data_fits_a_synthetic_corpus(capsys, tmp_path):
     assert (tmp_path / "last.ckpt").exists()
 
 
+def test_train_into_an_unmakeable_out_dir_writes_no_log(capsys, tmp_path):
+    # The checkpoint directory is made before the log is opened, so a
+    # failure to make it leaves no log file and no open handle behind.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    log = tmp_path / "m.tsv"
+    code, out, err = run(capsys, "train", "--config", "svtr-micro", "--synth", "4",
+                         "--epochs", "1", "--batch-size", "4",
+                         "--out", str(blocker / "ckpt"), "--log", str(log))
+    assert code == 1 and not out
+    assert err.splitlines() == [err.strip()]
+    assert not log.exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_train_is_one_error_line(capsys, tmp_path):
     # Two steps an epoch: step 0's update blows the model up, and step 1's

@@ -292,6 +292,31 @@ def test_exported_logits_are_the_eval_forward_logits():
     np.testing.assert_array_equal(logits, model.eval().forward(image).data)
 
 
+def test_eval_logits_are_the_eval_forward_logits():
+    model = micro_model().train()
+    images = np.random.default_rng(7).uniform(size=(3, 3, 16, 32)).astype(np.float32)
+    logits = model.eval_logits(images)
+    assert model.training
+    assert isinstance(logits, np.ndarray)
+    np.testing.assert_array_equal(logits, model.eval().forward(images).data)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", ["image", "weights"])
+def test_eval_logits_restore_the_mode_when_they_raise(where):
+    # A NaN image is refused by the forward itself; an infinite weight by
+    # the check on the logits, with numpy's warnings silenced on the way.
+    model = micro_model().train()
+    images = np.zeros((1, 3, 16, 32), dtype=np.float32)
+    if where == "image":
+        images[0, 0, 0, 0] = np.nan
+    else:
+        model.params["embed.conv1.weight"].data[0] = np.inf
+    with pytest.raises(ContractError, match="NaN or infinite values"):
+        model.eval_logits(images)
+    assert model.training
+
+
 @pytest.mark.parametrize("batch", [0, 2])
 def test_export_attention_takes_a_batch_of_one_image(batch):
     model = micro_model()

@@ -60,11 +60,19 @@ def test_empty_dataset_rejected():
 
 @pytest.mark.parametrize("kwargs", [
     {"peak_lr": float("nan")}, {"peak_lr": float("inf")}, {"peak_lr": -1e-3},
-    {"warmup_epochs": -1}])
+    {"warmup_epochs": -1},
+    {"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -8}])
 def test_bad_schedule_rejected(kwargs):
     model = SvtrModel(micro_config(), seed=0)
     with pytest.raises(ContractError):
-        train(model, tiny_dataset(), epochs=1, batch_size=8, **kwargs)
+        train(model, tiny_dataset(), **{"epochs": 1, "batch_size": 8, **kwargs})
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_bad_batch_size_rejected(batch_size):
+    model = SvtrModel(micro_config(), seed=0)
+    with pytest.raises(ContractError, match="batch_size must be at least 1"):
+        evaluate(model, tiny_dataset(2), batch_size=batch_size)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -125,7 +133,7 @@ def test_evaluate_deterministic_and_restores_mode():
     b = evaluate(model, data)
     assert model.training  # mode restored
     assert a.word_accuracy == b.word_accuracy
-    assert [r.pred for r in a.records] == [r.pred for r in b.records]
+    assert a.preds == b.preds
 
 
 def test_evaluate_perfect_predictions_score_one():
