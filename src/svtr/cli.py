@@ -116,6 +116,9 @@ def cmd_gen_data(args):
 
 def cmd_train(args):
     config = load_config(args.config)
+    if not args.data and args.max_len > config.max_label_len:
+        raise ContractError(f"--max-len {args.max_len} exceeds the config's "
+                            f"max_label_len {config.max_label_len}")
     charset = _charset_for(config, args)
     if args.data:
         dataset = load_dataset(args.data, config.input_h, config.input_w,

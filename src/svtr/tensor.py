@@ -35,12 +35,13 @@ one on the two halves of the first leading axis longer than 1.  Each piece
 is computed as the whole op computes it, so the bits do not depend on the
 helper:
 
-- the backward of ``matmul`` (both branches) and of ``conv2d`` computes the
-  weight gradient, for ``conv2d`` with the column rebuild, on the helper
-  and the input gradient here: GEMMs that share no output, each still one
-  call; ``_accumulate`` then runs here in the usual order;
-- the forward of a batched ``matmul`` splits the stack: numpy makes one GEMM
-  call per matrix, so no matrix depends on the rest of the stack;
+- the backward of ``matmul`` and of ``conv2d`` computes the weight
+  gradient, for ``conv2d`` with the column rebuild, on the helper and the
+  input gradient here: GEMMs that share no output, each still one call;
+  ``_accumulate`` then runs here in the usual order;
+- the forward of ``matmul`` splits the stack: numpy makes one GEMM call per
+  matrix, so no matrix depends on the rest of the stack.  A 2-D right
+  operand makes an empty stack, so a linear layer stays one GEMM;
 - ``softmax`` (both passes), ``gelu`` (both passes), the forward of
   ``layernorm`` and the per-row part of its backward split the rows: a
   row's reductions and elementwise operations read only that row, with the
@@ -62,10 +63,10 @@ Four rules hold for the helper:
 3. A task never calls an op function: those are the module-level names a
    tracer may wrap, and a tracer keeps one span stack.
 4. Below ``_HALF_ELEMENTS`` elements or ``_PAIR_MACS`` multiply-adds, an op
-   runs whole on the calling thread and submits no task, and ``_pair``
-   makes no buffer ahead.  Every svtr-micro op, and every forward op of
-   svtr-t at batch 1, stays below.  The pool starts with the first op above
-   them, never at import, and a forked child drops its copy.
+   runs whole on the calling thread and submits no task.  Every svtr-micro
+   op, and every forward op of svtr-t at batch 1, stays below.  The pool
+   starts with the first op above them, never at import, and a forked child
+   drops its copy.
 
 The helper is the second core of a two-core host; run with
 ``OPENBLAS_NUM_THREADS=1``, or OpenBLAS threads compete with it.
@@ -349,11 +350,13 @@ def _both(first, second):
 
 def _pair(f, g, macs: int, *shapes):
     """``(f(), g(*buffers))`` for two independent computations of ``macs``
-    multiply-adds each.  From ``_PAIR_MACS`` on, ``g`` runs on the helper
-    and writes into f64 buffers of ``shapes`` made here; below, it gets None
-    for each and allocates as it goes, as numpy's ``out=None`` does."""
+    multiply-adds each, ``g`` writing into f64 buffers of ``shapes`` made
+    here.  From ``_PAIR_MACS`` on, ``g`` runs on the helper; below, first, so
+    that ``f`` reuses the buffers ``g`` drops (``conv2d``'s columns): held
+    through ``f``, they cost a 2-vCPU svtr-micro train step about 4%."""
     if macs < _PAIR_MACS:
-        return f(), g(*(None,) * len(shapes))
+        other = g(*(np.empty(shape) for shape in shapes))
+        return f(), other
     buffers = [np.empty(shape) for shape in shapes]
     return _both(f, lambda: g(*buffers))
 
@@ -563,67 +566,52 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(f"matmul expects rank >= 2 operands, got {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    a_data, b_data, a_shape, b_shape = a.data, b.data, a.shape, b.shape
-    an, bn = a._node, b._node
-    macs = a.size * b_shape[-1]
     if b.data.ndim == 2:
-        # [..., d_in] @ [d_in, d_out] as one 2-D GEMM over the flattened
-        # rows, so the weight gradient is one GEMM rather than one per
-        # leading index and a sum over a [b, d_in, d_out] f64 stack.  The
-        # bias is added after the narrowing cast, in the storage dtype, so
-        # no pre-bias product outlives the op.
-        d_in, d_out = b.shape
-        out_data = (_wide(a.data.reshape(-1, d_in)) @ _wide(b.data)).astype(a.dtype)
-        if bias is not None:
-            out_data += bias.data
-        parents = (a, b) if bias is None else (a, b, bias)
-        bias_node, bias_shape = (None, None) if bias is None else (bias._node, bias.shape)
-
-        def bwd(g):
-            if bias_node is not None:
-                _accumulate(bias_node, _unbroadcast(g, bias_shape))
-            g64, a64 = _wide(g.reshape(-1, d_out)), _wide(a_data.reshape(-1, d_in))
-            ga, gb = _pair(lambda: g64 @ _wide(b_data).T,
-                           lambda out: np.matmul(a64.T, g64, out=out), macs, (d_in, d_out))
-            _accumulate(an, ga.reshape(a_shape))
-            _accumulate(bn, gb)
-
-        return _make(out_data.reshape(*a.shape[:-1], d_out), parents, bwd)
-    if bias is not None:
+        # [..., d_in] @ [d_in, d_out] over the flattened rows, an empty stack:
+        # one 2-D GEMM, and one weight-gradient GEMM rather than a stack sum.
+        a_data, lead = a.data.reshape(-1, b.shape[0]), ()
+    elif bias is not None:
         raise ShapeError(f"matmul takes a bias only with a 2-D right operand, got {b.shape}")
-    lead = a_shape[:-2]
-    if b_shape[:-2] != lead:
+    elif b.shape[:-2] != a.shape[:-2]:
         raise ShapeError(f"batched matmul needs equal leading axes, got {a.shape} x {b.shape}")
+    else:
+        a_data, lead = a.data, a.shape[:-2]
+    b_data, a_shape, b_shape, an, bn = b.data, a.shape, b.shape, a._node, b._node
+    macs = a.size * b_shape[-1]
     # numpy makes one GEMM call per matrix of the stack, so each half of the
     # stack gets the bits it gets in one call.
-    out_shape = (*a_shape[:-1], b_shape[-1])
+    out_shape = (*a_data.shape[:-1], b_shape[-1])
     out_data, out64 = np.empty(out_shape, a.dtype), np.empty(out_shape)
 
     def part(a64, b64, o64, o):
         np.copyto(o, np.matmul(a64, b64, out=o64))
 
     _in_halves(part, (_wide(a_data), _wide(b_data), out64, out_data), lead, macs, _PAIR_MACS)
+    # The bias is added after the narrowing cast, in the storage dtype.
+    if bias is not None:
+        out_data += bias.data
+    parents = (a, b) if bias is None else (a, b, bias)
+    bias_node, bias_shape = (None, None) if bias is None else (bias._node, bias.shape)
 
     def bwd(g):
-        g64, a64 = _wide(g), _wide(a_data)
+        if bias_node is not None:
+            _accumulate(bias_node, _unbroadcast(g, bias_shape))
+        g64, a64 = _wide(g.reshape(out_shape)), _wide(a_data)
         ga, gb = _pair(lambda: np.matmul(g64, _wide(b_data).swapaxes(-1, -2)),
                        lambda out: np.matmul(a64.swapaxes(-1, -2), g64, out=out), macs, b_shape)
-        _accumulate(an, ga)
+        _accumulate(an, ga.reshape(a_shape))
         _accumulate(bn, gb)
 
-    return _make(out_data, (a, b), bwd)
+    return _make(out_data.reshape(*a_shape[:-1], b_shape[-1]), parents, bwd)
 
 
 # -- convolution ------------------------------------------------------------
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int,
-            cols: np.ndarray | None = None):
+def _im2col(xp: np.ndarray, kh: int, kw: int, sh: int, sw: int, oh: int, ow: int, cols: np.ndarray):
     """The f64 columns [b, ci*kh*kw, oh*ow] of the padded input, gathered
-    into ``cols`` [b, ci, kh, kw, oh, ow] or a fresh array; the GEMMs read
-    them wide, so they are widened as they are gathered."""
+    into ``cols`` [b, ci, kh, kw, oh, ow]; the GEMMs read them wide, so they
+    are widened as they are gathered."""
     b, ci = xp.shape[:2]
-    if cols is None:
-        cols = np.empty((b, ci, kh, kw, oh, ow))
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i:i + sh * oh:sh, j:j + sw * ow:sw]
@@ -650,7 +638,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride) -> Tensor:
 
     xp = np.zeros((b, ci, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
     xp[:, :, ph:ph + h, pw:pw + w] = x.data
-    cols = _im2col(xp, kh, kw, sh, sw, oh, ow)                       # [b, ci*kh*kw, oh*ow]
+    cols = _im2col(xp, kh, kw, sh, sw, oh, ow, np.empty((b, ci, kh, kw, oh, ow)))
     wf = weight.data.reshape(co, ci * kh * kw)
     out_data = np.matmul(_wide(wf), cols).astype(x.dtype)            # [b, co, oh*ow]
     out_data = out_data.reshape(b, co, oh, ow)

@@ -73,6 +73,27 @@ def _check_feasible(samples: list[LabeledSample], seq_len: int):
                 f"CTC-feasible for {seq_len} output positions")
 
 
+def _open_outputs(checkpoint_dir, log_path):
+    """Make ``checkpoint_dir`` and open ``log_path`` for writing (either may
+    be None) and return the log's handle or None.  If either fails, the
+    directories made here are removed again, and nothing else."""
+    made = []  # innermost first, the order they can be removed in
+    if checkpoint_dir is not None:
+        path = os.path.abspath(checkpoint_dir)
+        while not os.path.lexists(path):
+            made.append(path)
+            path = os.path.dirname(path)
+    try:
+        if checkpoint_dir is not None:
+            os.makedirs(checkpoint_dir, exist_ok=True)
+        return None if log_path is None else open(log_path, "w", encoding="utf-8")
+    except OSError:
+        for path in made:
+            if os.path.isdir(path):
+                os.rmdir(path)
+        raise
+
+
 def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
           batch_size: int, seed: int = 42, peak_lr: float | None = None,
           warmup_epochs: int = WARMUP_EPOCHS,
@@ -115,16 +136,12 @@ def train(model: SvtrModel, dataset: list[LabeledSample], epochs: int,
     )
     optimizer = AdamW(model.params)
 
-    if checkpoint_dir is not None:
-        os.makedirs(checkpoint_dir, exist_ok=True)
-
     history: list[EpochMetrics] = []
     best_accuracy = -1.0
     global_step = 0
-    log_fh = None
+    log_fh = _open_outputs(checkpoint_dir, log_path)
     try:
-        if log_path is not None:
-            log_fh = open(log_path, "w", encoding="utf-8")
+        if log_fh is not None:
             log_fh.write(METRICS_HEADER)
         for epoch in range(epochs):
             model.train()

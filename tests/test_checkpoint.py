@@ -168,6 +168,52 @@ def test_record_missing_field_is_a_checkpoint_error(model, tmp_path, key):
         load_checkpoint(path)
 
 
+def _replace_header_bytes(path, raw):
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[8:16])
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + length:])
+
+
+def test_a_header_that_is_not_an_object_is_a_checkpoint_error(model, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    _replace_header_bytes(path, b"[]")
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert type(exc.value) is CheckpointError
+    assert str(exc.value) == f"{path}: header is not a JSON object"
+
+
+def test_a_tensor_record_that_is_not_an_object_is_a_checkpoint_error(model, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    _rewrite_header(path, lambda header: header["tensors"].__setitem__(3, [1, 2]))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert type(exc.value) is CheckpointError
+    assert str(exc.value) == f"{path}: tensor record is not a JSON object"
+
+
+def test_an_unsupported_format_version_is_a_checkpoint_error(model, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    _rewrite_header(path, lambda header: header.update(format_version=99))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert type(exc.value) is CheckpointError
+    assert "unsupported format version 99" in str(exc.value)
+
+
+def test_a_tensor_payload_cut_short_is_a_checkpoint_error(model, tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, step=0)
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert type(exc.value) is CheckpointError
+    assert "truncated payload for tensor" in str(exc.value)
+
+
 NON_INT_CONFIGS = [("embed_dims", [8.0, 16.0, 24.0]), ("depths", [1, True, 1]),
                    ("input_h", 16.0), ("max_label_len", True)]
 

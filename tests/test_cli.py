@@ -148,6 +148,28 @@ def test_train_into_an_unmakeable_out_dir_writes_no_log(capsys, tmp_path):
     assert not log.exists()
 
 
+@pytest.mark.parametrize("out", ["new", "new/deeper", "existing"])
+def test_train_with_an_unopenable_log_leaves_the_out_dirs_as_they_were(capsys, tmp_path, out):
+    # The checkpoint directory is made before the log is opened, so a log
+    # that cannot be opened takes back the directories this run made.
+    (tmp_path / "existing").mkdir()
+    code, out_text, err = run(capsys, "train", "--config", "svtr-micro", "--synth", "4",
+                              "--epochs", "1", "--batch-size", "4", "--out", str(tmp_path / out),
+                              "--log", str(tmp_path / "missing" / "m.tsv"))
+    assert code == 1 and not out_text
+    assert err.splitlines() == [err.strip()]
+    assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+    assert not any((tmp_path / "existing").iterdir())
+
+
+def test_train_synth_labels_longer_than_the_config_allows_are_one_error_line(capsys):
+    code, out, err = run(capsys, "train", "--config", "svtr-micro", "--synth", "4",
+                         "--min-len", "9", "--max-len", "9", "--epochs", "1",
+                         "--batch-size", "4")
+    assert code == 1 and not out
+    assert err == "error: --max-len 9 exceeds the config's max_label_len 5\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverging_train_is_one_error_line(capsys, tmp_path):
     # Two steps an epoch: step 0's update blows the model up, and step 1's
@@ -310,15 +332,21 @@ def test_infer_dump_logits_rejects_a_repeated_image(capsys, trained, tmp_path):
     assert not dump.exists()
 
 
-def _predicted_char(trained):
-    """The first image, the character the trained model predicts in its last
-    column, and the first column predicting that character."""
+def _greedy_path(trained):
+    """The first image and the class the trained model's logits pick in each
+    of its columns."""
     image = sorted((trained / "data" / "images").glob("*.ppm"))[0]
     config = PRESETS["svtr-micro"]
     model, _ = restore_model(trained / "ckpt" / "last.ckpt", expected_config=config)
     model.eval()
     logits = model.forward(load_image(image, config.input_h, config.input_w)[None])
-    path = np.argmax(logits.data[0], axis=-1)
+    return image, np.argmax(logits.data[0], axis=-1)
+
+
+def _predicted_char(trained):
+    """The first image, the character the trained model predicts in its last
+    column, and the first column predicting that character."""
+    image, path = _greedy_path(trained)
     target = int(path[-1])
     assert target != 0, "the last column must predict a character"
     column = int(np.nonzero(path == target)[0][0])
@@ -361,6 +389,16 @@ def test_attn_dump_range_error_is_one_error_line(capsys, trained, extra):
                          "--image", str(image), "--stage", "2", *extra)
     assert code == 1 and not out
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_attn_dump_char_that_no_column_predicts_is_one_error_line(capsys, trained):
+    image, path = _greedy_path(trained)
+    char = next(ch for i, ch in enumerate(Charset().symbols, start=1) if i not in path)
+    code, out, err = run(capsys, "attn-dump", "--config", "svtr-micro",
+                         "--checkpoint", str(trained / "ckpt" / "last.ckpt"),
+                         "--image", str(image), "--stage", "2", "--block", "0", "--char", char)
+    assert code == 1 and not out
+    assert err == f"error: character {char!r} is not predicted for this image\n"
 
 
 @pytest.mark.parametrize("query", [("--query", "3", "--char", "a"), ()], ids=["both", "neither"])

@@ -129,6 +129,13 @@ def test_config_rejects_bad_values(field):
         dataclasses.replace(PRESETS["svtr-t"], **field)
 
 
+def test_odd_first_embed_dim_rejected():
+    with pytest.raises(ContractError) as exc:
+        dataclasses.replace(PRESETS["svtr-micro"], embed_dims=(9, 16, 24))
+    assert type(exc.value) is ContractError
+    assert "first embed dim 9 must be even" in str(exc.value)
+
+
 @pytest.mark.parametrize("geometry", [dict(input_h=0), dict(input_h=-16), dict(input_w=-4)])
 def test_config_rejects_non_positive_geometry(geometry):
     with pytest.raises(SvtrError):

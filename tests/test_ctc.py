@@ -235,6 +235,26 @@ def test_single_recursion_matches_separate_alpha_beta_bitwise():
                 assert grad[i].tobytes() == want_grad.tobytes()
 
 
+@pytest.mark.parametrize("make, fragment", [
+    (lambda: Charset("abca"), "charset symbols must be unique"),
+    (lambda: Charset(""), "charset needs at least one non-blank symbol"),
+    (lambda: LabelSeq((1, -2)), "label indices must be non-negative"),
+    (lambda: greedy_decode(np.zeros((4, 3))), "greedy_decode expects [b, T, N] logits, got (4, 3)"),
+    (lambda: greedy_decode(np.array([[[0.0, np.nan]]])), "hold NaN or infinite values"),
+    (lambda: ctc_loss(Tensor(np.zeros((4, 3))), []), "ctc_loss expects [b, T, N] log probs"),
+    (lambda: ctc_loss(Tensor(np.zeros((2, 4, 3))), [LabelSeq((1,))]),
+     "batch size 2 != number of labels 1"),
+    (lambda: ctc_loss(Tensor(np.zeros((1, 4, 3))), [LabelSeq((3,))]),
+     "sample 0: label index out of range for 3 classes"),
+], ids=["charset-duplicate", "charset-empty", "label-negative", "decode-rank",
+        "decode-non-finite", "loss-rank", "loss-label-count", "loss-label-index"])
+def test_bad_ctc_input_is_a_contract_error(make, fragment):
+    with pytest.raises(ContractError) as exc:
+        make()
+    assert type(exc.value) is ContractError
+    assert fragment in str(exc.value)
+
+
 def test_empty_batch_raises():
     with pytest.raises(ContractError):
         ctc_loss(Tensor(np.zeros((0, 4, 3))), [])

@@ -143,6 +143,16 @@ def test_pnm_roundtrip_color(tmp_path):
     np.testing.assert_array_equal((back * 255).round().astype(np.uint8), img)
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 4), (4, 4, 3), (1, 3, 4, 4)])
+def test_write_pnm_rejects_a_shape_it_cannot_encode(tmp_path, shape):
+    path = tmp_path / "x.pnm"
+    with pytest.raises(DatasetError) as exc:
+        write_pnm(path, np.zeros(shape, np.float32))
+    assert type(exc.value) is DatasetError
+    assert f"cannot encode image of shape {shape} as PGM/PPM" in str(exc.value)
+    assert not path.exists()
+
+
 def test_pnm_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.pgm"
     path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")

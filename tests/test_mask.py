@@ -56,3 +56,11 @@ def test_mask_is_symmetric_and_reflexive():
 def test_even_window_rejected():
     with pytest.raises(ContractError):
         local_attention_mask(4, 4, 4, 11)
+
+
+@pytest.mark.parametrize("h,w", [(0, 4), (4, -1)])
+def test_non_positive_grid_rejected(h, w):
+    with pytest.raises(ContractError) as exc:
+        local_attention_mask(h, w, 3, 3)
+    assert type(exc.value) is ContractError
+    assert f"grid {h}x{w} and window 3x3 must be positive" in str(exc.value)

@@ -236,6 +236,15 @@ def test_merging_requires_even_height():
         model.merging(x, 1, 3, 16)
 
 
+def test_combining_a_sequence_that_is_not_the_grid_is_a_shape_error():
+    model = micro_model()
+    x = Tensor(np.zeros((1, 2 * 16 + 1, 24), dtype=np.float32))
+    with pytest.raises(ShapeError) as exc:
+        model.combining(x, 2, 16)
+    assert type(exc.value) is ShapeError
+    assert "combining sequence length 33 != 2x16" in str(exc.value)
+
+
 def test_combining_height_one_is_projection():
     import svtr.tensor as T
     model = micro_model()

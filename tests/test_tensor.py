@@ -9,7 +9,7 @@ from scipy.special import erf
 
 from svtr import tensor as T
 from svtr.ctc import LabelSeq, ctc_loss
-from svtr.exceptions import ContractError, ShapeError
+from svtr.exceptions import ContractError, GeometryError, ShapeError
 from svtr.tensor import Tensor
 
 
@@ -49,6 +49,44 @@ def test_matmul_shape_mismatch_names_shapes():
     with pytest.raises(ShapeError) as exc:
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
     assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
+
+
+def _z(*shape):
+    return Tensor(np.zeros(shape))
+
+
+@pytest.mark.parametrize("op, error, fragment", [
+    (lambda: T.dropout(_z(2, 3), 1.0, np.random.default_rng(0)), ContractError,
+     "dropout rate must be in [0, 1), got 1.0"),
+    (lambda: T.transpose(_z(2, 3), (0, 0)), ShapeError, "transpose axes (0, 0) invalid for rank 2"),
+    (lambda: T.split(_z(2, 5), 2), ShapeError, "cannot split axis of size 5 into 2 equal parts"),
+    (lambda: T.mean_pool_height(_z(2, 3, 4)), ShapeError, "mean_pool_height expects rank 4"),
+    (lambda: T.matmul(_z(3), _z(3, 2)), ShapeError, "matmul expects rank >= 2 operands"),
+    (lambda: T.matmul(_z(2, 3), _z(3)), ShapeError, "matmul expects rank >= 2 operands"),
+    (lambda: T.matmul(_z(2, 4, 3), _z(2, 3, 5), _z(5)), ShapeError,
+     "matmul takes a bias only with a 2-D right operand, got (2, 3, 5)"),
+    (lambda: T.matmul(_z(2, 4, 3), _z(3, 3, 5)), ShapeError, "batched matmul needs equal leading axes"),
+    (lambda: T.conv2d(_z(1, 4, 4), _z(2, 1, 3, 3), _z(2), (1, 1)), ShapeError,
+     "conv2d expects rank-4 input and weight"),
+    (lambda: T.conv2d(_z(1, 2, 4, 4), _z(2, 3, 3, 3), _z(2), (1, 1)), ShapeError,
+     "conv2d channel mismatch: input 2 vs weight 3"),
+    (lambda: T.conv2d(_z(1, 1, 0, 4), _z(2, 1, 3, 3), _z(2), (1, 1)), GeometryError,
+     "conv2d output size 0x4 non-positive"),
+    (lambda: T.layernorm(_z(2, 4), _z(3), _z(4)), ShapeError, "layernorm affine shape (3,)/(4,)"),
+    (lambda: T.batchnorm2d(_z(2, 3, 4), _z(3), _z(3), np.zeros(3, np.float32),
+                           np.ones(3, np.float32), True), ShapeError, "batchnorm2d expects rank 4"),
+    (lambda: T.batchnorm2d(_z(2, 3, 4, 4), _z(3), _z(2), np.zeros(3, np.float32),
+                           np.ones(3, np.float32), True), ShapeError,
+     "batchnorm2d affine shape (3,)/(2,) does not match channels 3"),
+], ids=["dropout-rate", "transpose-axes", "split", "mean-pool-rank", "matmul-rank-a",
+        "matmul-rank-b", "matmul-batched-bias", "matmul-leading-axes", "conv2d-rank",
+        "conv2d-channels", "conv2d-empty-output", "layernorm-affine", "batchnorm-rank",
+        "batchnorm-affine"])
+def test_an_op_rejects_bad_operands_with_a_typed_error(op, error, fragment):
+    with pytest.raises(error) as exc:
+        op()
+    assert type(exc.value) is error
+    assert fragment in str(exc.value)
 
 
 def test_matmul_grad_is_ones_times_b_transposed():

@@ -163,6 +163,14 @@ def test_package_does_not_shadow_the_train_module():
     assert module.train is train
 
 
+def test_a_validation_split_of_every_sample_is_rejected():
+    model = SvtrModel(micro_config(), seed=0)
+    with pytest.raises(ContractError) as exc:
+        train(model, tiny_dataset(1), epochs=1, batch_size=8, val_fraction=0.6)
+    assert type(exc.value) is ContractError
+    assert "validation split consumed the whole dataset" in str(exc.value)
+
+
 @pytest.mark.parametrize("val_fraction", [float("nan"), float("inf"), -0.5, 1.0])
 def test_bad_val_fraction_rejected(val_fraction):
     model = SvtrModel(micro_config(), seed=0)
