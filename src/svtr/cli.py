@@ -64,7 +64,7 @@ def _charset_for(config, args) -> Charset:
     else:
         cs = Charset()
     if cs.size != config.charset_size:
-        raise SvtrError(f"charset has {cs.size} classes but config expects "
+        raise ContractError(f"charset has {cs.size} classes but config expects "
                         f"{config.charset_size}")
     return cs
 
@@ -180,7 +180,7 @@ def _query_for_char(logits, charset, char: str, h: int, w: int) -> int:
     target = charset.encode(char).indices[0]
     cols = np.nonzero(path == target)[0]
     if cols.size == 0:
-        raise SvtrError(f"character {char!r} is not predicted for this image")
+        raise ContractError(f"character {char!r} is not predicted for this image")
     return (h // 2) * w + int(cols[0])
 
 

@@ -19,6 +19,8 @@ rebuild the im2col columns and the probabilities in backward with the
 forward's operations, so their gradients keep their bits.  So an
 intermediate's values are freed as soon as their last reader is done with
 them, not when backward ends.
+``layernorm`` and ``batchnorm2d`` are one rule, ``_normalized``, with the
+input's own statistics, or in batchnorm's eval the running ones as constants.
 ``backward`` replays the rules in reverse execution order (node creation
 order), which makes gradient accumulation deterministic, and frees the
 graph as it goes, so each forward supports one backward.
@@ -42,11 +44,9 @@ helper:
 - the forward of ``matmul`` splits the stack: numpy makes one GEMM call per
   matrix, so no matrix depends on the rest of the stack.  A 2-D right
   operand makes an empty stack, so a linear layer stays one GEMM;
-- ``softmax`` (both passes), ``gelu`` (both passes), the forward of
-  ``layernorm`` and the per-row part of its backward split the rows: a
-  row's reductions and elementwise operations read only that row, with the
-  same operations, order and layout; the gamma and beta sums over the
-  leading axes run whole, here;
+- ``softmax`` and ``gelu`` split the rows of both passes: a row's
+  reductions and elementwise operations read only that row, with the same
+  operations, order and layout;
 - nothing else splits.  A 2-D GEMM split by rows could take another OpenBLAS
   kernel and round differently, and a split reduction over leading axes
   would sum in another order.  Dropout's draw, AdamW and clipping stay
@@ -680,78 +680,86 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride) -> Tensor:
 
 # -- normalization ----------------------------------------------------------
 
-def _moments(x: np.ndarray, axis, n: int, xc: np.ndarray, mu: np.ndarray,
-             var: np.ndarray, sq: np.ndarray):
-    """Fill ``mu`` and ``var`` with the f64 mean and biased variance of ``x``
-    over ``axis``, which holds ``n`` elements, and ``xc`` with the centered
-    input: buffers the caller allocated, ``xc`` and the scratch ``sq`` f64
-    with ``x``'s layout, the statistics keeping size-1 axes.  Bitwise equal
-    to the ``mean`` and ``var`` of ``x`` in f64 (the same sums and divisions
-    in the same order), with the input centered once for both."""
+def _moments(x: np.ndarray, axes, xc: np.ndarray, sq: np.ndarray):
+    """The f64 mean and biased variance of ``x`` over ``axes``, keeping
+    size-1 axes, with the centered input in ``xc``: ``xc`` and the scratch
+    ``sq`` are f64 buffers with ``x``'s layout that the caller allocated.
+    Bitwise equal to the ``mean`` and ``var`` of ``x`` in f64 (the same sums
+    and divisions in the same order), with the input centered once for both."""
     np.copyto(xc, x)
-    np.add.reduce(xc, axis=axis, keepdims=True, out=mu)
+    mu = np.add.reduce(xc, axis=axes, keepdims=True)
+    n = xc.size // mu.size
     mu /= n
     xc -= mu
-    np.add.reduce(np.multiply(xc, xc, out=sq), axis=axis, keepdims=True, out=var)
+    var = np.add.reduce(np.multiply(xc, xc, out=sq), axis=axes, keepdims=True)
     var /= n
+    return mu, var
 
 
-def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Over the last axis.  A large input is normalized, and gets the
-    per-row part of its gradient, in two halves of the rows."""
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layernorm affine shape {gamma.shape}/{beta.shape} does not match last dim {d}")
-    xd, gd = x.data, gamma.data
-    gam, bet = _wide(gd), _wide(beta.data)
-    stats = x.shape[:-1] + (1,)
-    y, sq = np.empty_like(xd, dtype=np.float64), np.empty_like(xd, dtype=np.float64)
-    mu, inv, out_data = np.empty(stats), np.empty(stats), np.empty_like(xd)
-
-    def part(xi, yi, mu_i, inv_i, sq_i, out_i):
-        _moments(xi, -1, d, yi, mu_i, inv_i, sq_i)
-        # 1 / sqrt(var + eps) in var's buffer; (x - mu) * inv * gamma + beta
-        # in place.
-        inv_i += NORM_EPS
-        np.sqrt(inv_i, out=inv_i)
-        np.divide(1.0, inv_i, out=inv_i)
-        yi *= inv_i
-        yi *= gam
-        yi += bet
-        np.copyto(out_i, yi)
-
-    _in_halves(part, (xd, y, mu, inv, sq, out_data), stats[:-1], x.size)
+def _normalized(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, axes, stats=None):
+    """``(x - mu) * inv * gamma + beta`` in f64, ``inv = 1 / sqrt(var + eps)``,
+    with ``gamma`` and ``beta`` along ``axis``: the one rule of ``layernorm``
+    and ``batchnorm2d``.  ``mu`` and ``var`` are the mean and biased variance
+    of ``x`` over ``axes``, which the gradient flows through, or the
+    constant pair ``stats``.  Returns the output, ``mu`` and ``var``."""
+    xd, own = x.data, stats is None
+    # The affine axes are every axis but ``axis``, which may have size 1 (a
+    # layernorm of one feature).
+    axis %= xd.ndim
+    along = tuple(n if a == axis else 1 for a, n in enumerate(xd.shape))
+    rest = tuple(a for a in range(xd.ndim) if a != axis)
+    gam, bet = _wide(gamma.data).reshape(along), _wide(beta.data).reshape(along)
+    # The centered input, its square's scratch and the output, in this order
+    # before any work: the order decides svtr-t inference's peak RSS.
+    y = np.empty_like(xd, dtype=np.float64)
+    sq = np.empty_like(y) if own else None
+    out_data = np.empty_like(xd)
+    if own:
+        mu, var = _moments(xd, axes, y, sq)
+    else:
+        mu, var = stats
+        np.copyto(y, xd)
+        y -= mu
+    n = xd.size // mu.size
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
+    y *= inv
+    y *= gam
+    y += bet
+    np.copyto(out_data, y)
     xn, gn, bn = x._node, gamma._node, beta._node
 
     def bwd(g):
         # x-hat is rebuilt from the input and the statistics rather than
         # kept from the forward: the same f64 operations give the same bits.
         xhat, g64 = np.empty_like(xd, dtype=np.float64), _wide(g)
-        dxhat, t, m1, m2 = np.empty_like(g64), np.empty_like(g64), np.empty(stats), np.empty(stats)
-        gam = _wide(gd)
-
-        def part(xi, gi, xh, dx, ti, mu_i, inv_i, m1, m2):
-            np.copyto(xh, xi)
-            xh -= mu_i
-            xh *= inv_i
-            np.multiply(gi, gam, out=dx)
-            # The means of dxhat and dxhat * xhat, as ``mean`` takes them.
-            np.add.reduce(dx, axis=-1, keepdims=True, out=m1)
-            m1 /= d
-            np.add.reduce(np.multiply(dx, xh, out=ti), axis=-1, keepdims=True, out=m2)
-            m2 /= d
-            # inv * (dxhat - m1 - xhat * m2), in place.
+        dx, t = np.empty_like(g64), np.empty_like(g64)
+        np.copyto(xhat, xd)
+        xhat -= mu
+        xhat *= inv
+        np.multiply(g64, gam, out=dx)
+        if own:
+            # inv * (dxhat - m1 - xhat * m2), in place, with the means of
+            # dxhat and dxhat * xhat as ``mean`` takes them.
+            m1 = np.add.reduce(dx, axis=axes, keepdims=True)
+            m1 /= n
+            m2 = np.add.reduce(np.multiply(dx, xhat, out=t), axis=axes, keepdims=True)
+            m2 /= n
             dx -= m1
-            dx -= np.multiply(xh, m2, out=ti)
-            dx *= inv_i
+            dx -= np.multiply(xhat, m2, out=t)
+        dx *= inv
+        _accumulate(xn, dx)
+        _accumulate(gn, np.add.reduce(np.multiply(g64, xhat, out=t), axis=rest))
+        _accumulate(bn, np.add.reduce(g64, axis=rest))
 
-        _in_halves(part, (xd, g64, xhat, dxhat, t, mu, inv, m1, m2), stats[:-1], g.size)
-        _accumulate(xn, dxhat)
-        axes = tuple(range(g64.ndim - 1))
-        _accumulate(gn, np.add.reduce(np.multiply(g64, xhat, out=t), axis=axes))
-        _accumulate(bn, np.add.reduce(g64, axis=axes))
+    return _make(out_data, (x, gamma, beta), bwd), mu, var
 
-    return _make(out_data, (x, gamma, beta), bwd)
+
+def layernorm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Over the last axis."""
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"layernorm affine shape {gamma.shape}/{beta.shape} does not match last dim {d}")
+    return _normalized(x, gamma, beta, -1, -1)[0]
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
@@ -764,50 +772,14 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"batchnorm2d affine shape {gamma.shape}/{beta.shape} does not match channels {c}")
-    xd = x.data
-    gam = _wide(gamma.data).reshape(1, c, 1, 1)
-    bet = _wide(beta.data).reshape(1, c, 1, 1)
-    n = x.shape[0] * x.shape[2] * x.shape[3]
-    if training:
-        y, mu, var = np.empty_like(xd, dtype=np.float64), np.empty(gam.shape), np.empty(gam.shape)
-        _moments(xd, (0, 2, 3), n, y, mu, var, np.empty_like(y))
-        m = BN_MOMENTUM
-        running_mean[...] = m * running_mean + (1 - m) * mu.reshape(c)
-        running_var[...] = m * running_var + (1 - m) * var.reshape(c)
-    else:
-        mu = _wide(running_mean).reshape(1, c, 1, 1)
-        var = _wide(running_var).reshape(1, c, 1, 1)
-        y = xd.astype(np.float64)
-        y -= mu
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    # (x - mu) * inv * gamma + beta, in place.
-    y *= inv
-    y *= gam
-    y += bet
-    out_data = y.astype(x.dtype)
-    xn, gn, bn = x._node, gamma._node, beta._node
-
-    def bwd(g):
-        # x-hat is rebuilt from the input and the statistics, as in layernorm.
-        xhat = _wide(xd) - mu
-        xhat *= inv
-        g64 = _wide(g)
-        dxhat = g64 * gam
-        axes = (0, 2, 3)
-        _accumulate(gn, (g64 * xhat).sum(axis=axes))
-        _accumulate(bn, g64.sum(axis=axes))
-        if training:
-            # inv * (dxhat - s1 / n - xhat * s2 / n), in place.
-            s1 = dxhat.sum(axis=axes, keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-            dxhat -= s1 / n
-            xhat *= s2
-            xhat /= n
-            dxhat -= xhat
-        dxhat *= inv
-        _accumulate(xn, dxhat)
-
-    return _make(out_data, (x, gamma, beta), bwd)
+    if not training:
+        frozen = (_wide(running_mean).reshape(1, c, 1, 1), _wide(running_var).reshape(1, c, 1, 1))
+        return _normalized(x, gamma, beta, 1, (0, 2, 3), frozen)[0]
+    out, mu, var = _normalized(x, gamma, beta, 1, (0, 2, 3))
+    m = BN_MOMENTUM
+    running_mean[...] = m * running_mean + (1 - m) * mu.reshape(c)
+    running_var[...] = m * running_var + (1 - m) * var.reshape(c)
+    return out
 
 
 # -- softmax family, over the last axis -------------------------------------

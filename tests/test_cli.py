@@ -12,6 +12,7 @@ from svtr.cli import main
 from svtr.config import PRESETS
 from svtr.ctc import Charset, LabelSeq, greedy_decode
 from svtr.data import load_image, read_pnm
+from svtr.exceptions import ContractError
 from svtr.model import SvtrModel
 
 
@@ -216,6 +217,13 @@ def test_charset_of_another_size_is_one_error_line(capsys, tmp_path):
     assert err == "error: charset has 4 classes but config expects 37\n"
 
 
+def test_charset_of_another_size_is_a_contract_error(tmp_path):
+    charset = tmp_path / "charset.txt"
+    charset.write_text("a\nb\nc\n", encoding="utf-8")
+    with pytest.raises(ContractError, match="charset has 4 classes but config expects 37"):
+        svtr.cli._charset_for(PRESETS["svtr-micro"], argparse.Namespace(charset=str(charset)))
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """One short CLI training run shared by the downstream command tests."""
@@ -399,6 +407,13 @@ def test_attn_dump_char_that_no_column_predicts_is_one_error_line(capsys, traine
                          "--image", str(image), "--stage", "2", "--block", "0", "--char", char)
     assert code == 1 and not out
     assert err == f"error: character {char!r} is not predicted for this image\n"
+
+
+def test_char_that_no_column_predicts_is_a_contract_error():
+    logits = np.zeros((1, 4, Charset().size))
+    logits[..., 0] = 1.0  # every column predicts the blank
+    with pytest.raises(ContractError, match="character 'a' is not predicted for this image"):
+        svtr.cli._query_for_char(logits, Charset(), "a", 2, 4)
 
 
 @pytest.mark.parametrize("query", [("--query", "3", "--char", "a"), ()], ids=["both", "neither"])

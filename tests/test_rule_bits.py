@@ -2,8 +2,9 @@
 expressions.
 
 ``gelu``, ``softmax``, the bias adds of ``matmul`` and ``conv2d`` and the
-backward rules of ``layernorm`` and ``batchnorm2d`` write into fresh arrays
-they own instead of allocating one per operation.  ``softmax``, ``dropout``
+one normalization rule of ``layernorm`` and ``batchnorm2d`` write into
+fresh arrays they own instead of allocating one per operation; ``layernorm``
+is checked on one feature, odd rows, a batch of one and a strided last axis.  ``softmax``, ``dropout``
 and ``conv2d`` keep less than their output or their columns for backward
 (the row max and sum, a packed mask, the padded input) and rebuild the rest.
 Each test here runs the op and compares its output and gradients, bit for
@@ -296,13 +297,30 @@ def _layernorm_reference(xd, gd, bd, g):
     return out, [a.astype(xd.dtype) for a in (gx, (g64 * xhat).sum(axis=axes), g64.sum(axis=axes))]
 
 
+def _layernorm_input(rng, layout):
+    """[2, 5, d] for an int ``layout`` d; else 7 odd rows, a batch of one, or
+    the last axis strided, as a transposed patch embedding would be: each row
+    is then summed element by element, not pairwise."""
+    if isinstance(layout, int):
+        return rng.normal(size=(2, 5, layout))
+    if layout == "odd-rows":
+        xd = rng.normal(size=(7, 12))
+    elif layout == "batch1":
+        xd = rng.normal(size=(1, 5, 12))
+    else:
+        xd = rng.normal(size=(3, 12, 5)).transpose(0, 2, 1)
+    return xd * 3.0 + 0.5
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("d", [1, 12])
-def test_layernorm_matches_the_plain_expressions(dtype, d):
+@pytest.mark.parametrize("layout", [1, 12, "odd-rows", "batch1", "transposed"])
+def test_layernorm_matches_the_plain_expressions(dtype, layout):
     rng = np.random.default_rng(6)
-    xd, gd, bd = (rng.normal(size=s).astype(dtype) for s in ((2, 5, d), (d,), (d,)))
+    xd = _layernorm_input(rng, layout).astype(dtype)
+    d = xd.shape[-1]
+    gd, bd = (rng.normal(size=d).astype(dtype) for _ in range(2))
     g = rng.normal(size=xd.shape).astype(dtype)
-    x, gamma, beta = _leaf(xd.copy()), _leaf(gd.copy()), _leaf(bd.copy())
+    x, gamma, beta = _leaf(xd.copy(order="K")), _leaf(gd.copy()), _leaf(bd.copy())
     out = T.layernorm(x, gamma, beta)
     grads = _grads(out, g, x, gamma, beta)
     ref_out, ref_grads = _layernorm_reference(xd, gd, bd, g)
@@ -331,7 +349,7 @@ def _batchnorm_reference(xd, gd, bd, mean, var_run, training, g):
     if training:
         s1 = dxhat.sum(axis=axes, keepdims=True)
         s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-        gx = inv * (dxhat - s1 / n - xhat * s2 / n)
+        gx = inv * (dxhat - s1 / n - xhat * (s2 / n))
     else:
         gx = dxhat * inv
     return out, [a.astype(xd.dtype) for a in (gx, (g64 * xhat).sum(axis=axes), g64.sum(axis=axes))]

@@ -2,8 +2,8 @@
 the single-threaded expressions.
 
 ``matmul`` and ``conv2d`` compute their weight gradient on the helper
-(``_pair``); the batched ``matmul`` forward, ``softmax``, ``gelu`` and
-``layernorm`` run on two halves of their leading axis (``_in_halves``).
+(``_pair``); the batched ``matmul`` forward, ``softmax`` and ``gelu`` run on
+two halves of their leading axis (``_in_halves``).
 Each test lowers the thresholds to the size of its input, so that the op
 hands work to the helper ("above"), or to one more than that, so that it
 runs whole ("below"), and compares the output and every gradient, bit for
@@ -12,10 +12,12 @@ f64.  Leading lengths of 7 split 3/4, and the svtr-t batch-1 attention
 shapes split on the heads axis.  The other tests pin the helper's contract:
 numpy's ``errstate`` holds on it, a forked child gets a working pool of its
 own, importing ``svtr`` starts no thread, svtr-micro never submits a task,
-and a whole svtr-t train step gives the same bits with the helper, without
-it and with no split at all.
+an svtr-t batch-8 train step and evaluation reach every function that can
+hand work to the helper, and a whole svtr-t train step gives the same bits
+with the helper, without it and with no split at all.
 """
 
+import ast
 import os
 import signal
 import subprocess
@@ -67,12 +69,15 @@ def _leaf(a, requires_grad=True):
 
 @pytest.fixture
 def handoffs(monkeypatch):
-    """The number of tasks handed to the helper, as a one-item list."""
-    count = [0]
+    """The number of tasks handed to the helper and the qualified names of
+    the functions that handed them (the callers of ``_pair`` and
+    ``_in_halves``), as a two-item list."""
+    count = [0, set()]
     both = T._both
 
     def counted(first, second):
         count[0] += 1
+        count[1].add(sys._getframe(2).f_code.co_qualname)
         return both(first, second)
 
     monkeypatch.setattr(T, "_both", counted)
@@ -266,51 +271,6 @@ def test_gelu_splits_its_rows_bitwise(monkeypatch, handoffs, dtype, side, shape)
     assert handoffs[0] == (2 if side == "above" else 0)
 
 
-def _layernorm_reference(xd, gd, bd, g):
-    n = xd.shape[-1]
-    xc = xd.astype(np.float64)
-    mu = np.add.reduce(xc, axis=-1, keepdims=True) / n
-    xc -= mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + T.NORM_EPS)
-    out = ((xd.astype(np.float64) - mu) * inv * _wide(gd) + _wide(bd)).astype(xd.dtype)
-    xhat = (_wide(xd) - mu) * inv
-    g64 = _wide(g)
-    dxhat = g64 * _wide(gd)
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    gx = inv * (dxhat - m1 - xhat * m2)
-    axes = tuple(range(g64.ndim - 1))
-    return out, [a.astype(xd.dtype) for a in (gx, (g64 * xhat).sum(axis=axes), g64.sum(axis=axes))]
-
-
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("side", SIDES)
-@pytest.mark.parametrize("case", ["odd-rows", "batch1", "transposed"])
-def test_layernorm_splits_its_rows_bitwise(monkeypatch, handoffs, dtype, side, case):
-    rng = np.random.default_rng(45)
-    if case == "odd-rows":
-        xd = rng.normal(size=(7, 12))
-    elif case == "batch1":
-        xd = rng.normal(size=(1, 5, 12))
-    else:
-        # The last axis strided, as a transposed patch embedding would be:
-        # each row is summed element by element, not pairwise.
-        xd = rng.normal(size=(3, 12, 5)).transpose(0, 2, 1)
-    xd = (xd * 3.0 + 0.5).astype(dtype)
-    gd, bd = (rng.normal(size=12).astype(dtype) for _ in range(2))
-    g = rng.normal(size=xd.shape).astype(dtype)
-    _threshold(monkeypatch, "_HALF_ELEMENTS", xd.size, side)
-    x, gamma, beta = Tensor(xd, requires_grad=True), _leaf(gd), _leaf(bd)
-    out = T.layernorm(x, gamma, beta)
-    grads = _grads(out, g, x, gamma, beta)
-    ref_out, ref_grads = _layernorm_reference(xd, gd, bd, g)
-    _assert_same_bits(out.data, ref_out)
-    for actual, expected in zip(grads, ref_grads):
-        _assert_same_bits(actual, expected)
-    assert handoffs[0] == (2 if side == "above" else 0)
-
-
 # -- a whole train step ---------------------------------------------------------
 
 class _InlinePool:
@@ -366,15 +326,42 @@ def test_svtr_micro_never_reaches_the_helper(handoffs):
     assert handoffs[0] == 0
 
 
+def _split_sites():
+    """The qualified names of the functions in ``svtr.tensor`` whose own body
+    (not a nested function's) calls ``_pair`` or ``_in_halves``."""
+    sites = set()
+
+    def visit(fn, name):
+        stack = list(fn.body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                visit(node, f"{name}.<locals>.{node.name}")
+                continue
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_pair", "_in_halves"):
+                sites.add(name)
+            stack.extend(ast.iter_child_nodes(node))
+
+    for fn in ast.parse(Path(T.__file__).read_text(encoding="utf-8")).body:
+        if isinstance(fn, ast.FunctionDef):
+            visit(fn, fn.name)
+    return sites
+
+
 def test_svtr_t_batch8_step_reaches_the_helper(handoffs):
+    # Every function that can hand work to the helper does so in a batch-8
+    # train step or evaluation: a split that no workload reaches is code no
+    # timing ever chose.
     cfg = PRESETS["svtr-t"]
     corpus = gen_dataset(8, Charset(), (1, 16), cfg.input_h, cfg.input_w, seed=13)
+    images = np.stack([s.image for s in corpus])
     model = SvtrModel(cfg, seed=13)
     with np.errstate(all="ignore"):
-        loss = ctc_loss(T.log_softmax(model.forward(np.stack([s.image for s in corpus]))),
-                        [s.label for s in corpus])
+        loss = ctc_loss(T.log_softmax(model.forward(images)), [s.label for s in corpus])
     loss.backward()
+    model.eval_logits(images)
     assert handoffs[0] > 0
+    assert handoffs[1] == _split_sites()
 
 
 # -- errstate on the helper -------------------------------------------------------
