@@ -12,9 +12,10 @@ f64.  Leading lengths of 7 split 3/4, and the svtr-t batch-1 attention
 shapes split on the heads axis.  The other tests pin the helper's contract:
 numpy's ``errstate`` holds on it, a forked child gets a working pool of its
 own, importing ``svtr`` starts no thread, svtr-micro never submits a task,
-an svtr-t batch-8 train step and evaluation reach every function that can
-hand work to the helper, and a whole svtr-t train step gives the same bits
-with the helper, without it and with no split at all.
+``layernorm`` and ``batchnorm2d`` run whole with both thresholds at one
+element, an svtr-t batch-8 train step and evaluation reach every function
+that can hand work to the helper, and a whole svtr-t train step gives the
+same bits with the helper, without it and with no split at all.
 """
 
 import ast
@@ -269,6 +270,39 @@ def test_gelu_splits_its_rows_bitwise(monkeypatch, handoffs, dtype, side, shape)
     _assert_same_bits(out.data, ref_out)
     _assert_same_bits(gx, ref_gx)
     assert handoffs[0] == (2 if side == "above" else 0)
+
+
+# -- normalization --------------------------------------------------------------
+
+def _normalize(op, xd, gd, bd, g, training):
+    x, gamma, beta = _leaf(xd), _leaf(gd), _leaf(bd)
+    if op == "layernorm":
+        out, running = T.layernorm(x, gamma, beta), []
+    else:
+        running = [np.full(xd.shape[1], 0.25, xd.dtype), np.full(xd.shape[1], 2.0, xd.dtype)]
+        out = T.batchnorm2d(x, gamma, beta, *running, training=training)
+    return [out.data, *_grads(out, g, x, gamma, beta), *running]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("op,training", [("layernorm", True), ("batchnorm2d", True),
+                                         ("batchnorm2d", False)])
+def test_normalization_runs_whole_above_the_split_sizes(monkeypatch, handoffs, dtype, op, training):
+    # The one normalization rule hands no work to the helper: with both
+    # thresholds at one element, its output, gradients and running
+    # statistics keep the bits of a run at the default thresholds.
+    rng = np.random.default_rng(46)
+    shape = (7, 5, 12) if op == "layernorm" else (3, 4, 5, 6)
+    d = shape[-1] if op == "layernorm" else shape[1]
+    xd = (rng.normal(size=shape) * 3.0 + 0.5).astype(dtype)
+    gd, bd = (rng.normal(size=d).astype(dtype) for _ in range(2))
+    g = rng.normal(size=shape).astype(dtype)
+    expected = _normalize(op, xd, gd, bd, g, training)
+    monkeypatch.setattr(T, "_HALF_ELEMENTS", 1)
+    monkeypatch.setattr(T, "_PAIR_MACS", 1)
+    for actual, want in zip(_normalize(op, xd, gd, bd, g, training), expected, strict=True):
+        _assert_same_bits(actual, want)
+    assert handoffs[0] == 0
 
 
 # -- a whole train step ---------------------------------------------------------
