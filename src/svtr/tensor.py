@@ -24,6 +24,8 @@ input's own statistics, or in batchnorm's eval the running ones as constants.
 ``backward`` replays the rules in reverse execution order (node creation
 order), which makes gradient accumulation deterministic, and frees the
 graph as it goes, so each forward supports one backward.
+``gelu``'s erf is scipy's compiled ufunc, loaded alone (``_scipy_erf``):
+the ``scipy.special`` package would load ~300 modules that svtr never calls.
 
 A leaf's node may hold a ``slot``: a view of a flat gradient buffer that
 ``optim.AdamW`` allocates when it packs the parameters.  A packed leaf's
@@ -75,16 +77,42 @@ The helper is the second core of a two-core host; run with
 from __future__ import annotations
 
 import contextvars
+import importlib.machinery
+import importlib.util
 import itertools
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import erf
 
 from .exceptions import ContractError, GeometryError, ShapeError
 
+
+def _scipy_erf():
+    """scipy's compiled ``erf`` ufunc, loaded from its extension module alone.
+
+    The extension enters itself in ``sys.modules`` as it starts.  The entry is
+    dropped, so a later ``import scipy.special`` binds the module as usual,
+    with this very ``erf``.  On another scipy layout, the package import."""
+    name = "scipy.special._special_ufuncs"
+    if name in sys.modules:
+        return sys.modules[name].erf
+    scipy_spec = importlib.util.find_spec("scipy")
+    for root in scipy_spec.submodule_search_locations if scipy_spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "special", "_special_ufuncs" + suffix)
+            if os.path.isfile(path):
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path))
+                sys.modules.pop(name, None)
+                return module.erf
+    from scipy.special import erf
+    return erf
+
+
+erf = _scipy_erf()
 _ids = itertools.count()
 
 _INV_SQRT2 = 0.7071067811865476
@@ -414,10 +442,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact erf formulation: 0.5 * x * (1 + erf(x / sqrt(2))).
 
-    erf runs on |x / sqrt(2)|, where scipy's erf is faster, and ``copysign``
-    restores the sign: scipy's erf is exactly odd, so the bits are erf's (a
-    test pins this).  When the input requires grad, the derivative is
-    computed here and is the one array the rule keeps.
+    erf, scipy's compiled ufunc without its package, runs on |x / sqrt(2)|,
+    where it is faster, and ``copysign`` restores the sign: scipy's erf is
+    exactly odd, so the bits are erf's (a test pins this).  When the input
+    requires grad, the derivative is computed here and is the one array the
+    rule keeps.
     """
     xd, xn = x.data, x._node
     z, e, out_data = np.empty_like(xd), np.empty_like(xd), np.empty_like(xd)

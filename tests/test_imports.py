@@ -1,11 +1,15 @@
 """Source hygiene: every name a package module imports is used in it, the
 package imports nothing beyond the standard library and the dependencies
 that ``pyproject.toml`` declares, and every error it raises by name is one
-of its typed errors."""
+of its typed errors.  Of scipy, importing svtr loads only the compiled erf
+module, which a later ``import scipy.special`` binds as usual."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -83,3 +87,49 @@ def test_every_named_raise_is_a_typed_error():
                if name not in typed and not (path.name == "cli.py" and "_number" in scope
                                              and name == "argparse.ArgumentTypeError")]
     assert not untyped
+
+
+def _run(code):
+    """Run ``code`` in a fresh interpreter that imports svtr from this tree."""
+    src = str(Path(svtr.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True,
+                   timeout=60)
+
+
+def test_importing_every_module_loads_no_scipy_module():
+    names = ", ".join(f"svtr.{path.stem}" for path in MODULES)
+    _run(f"""
+        import sys, svtr, {names}
+        scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not scipy, scipy
+        """)
+
+
+@pytest.mark.parametrize("first, second", [("svtr.tensor", "scipy.special"),
+                                           ("scipy.special", "svtr.tensor")])
+def test_scipy_special_binds_the_erf_of_svtr(first, second):
+    _run(f"""
+        import {first}
+        import {second}
+        assert svtr.tensor.erf is scipy.special.erf
+        assert scipy.special._special_ufuncs.erf is scipy.special.erf
+        """)
+
+
+def test_erf_falls_back_to_scipy_special_on_another_layout(tmp_path):
+    # find_spec points scipy at an empty directory, so the extension file is
+    # not found; the import system itself does not call importlib.util.find_spec.
+    _run(f"""
+        import importlib.machinery, importlib.util
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append({str(tmp_path)!r})
+        real = importlib.util.find_spec
+        importlib.util.find_spec = lambda name, package=None: (
+            spec if name == "scipy" else real(name, package))
+        import sys, svtr.tensor
+        assert "scipy.special" in sys.modules
+        import scipy.special
+        assert svtr.tensor.erf is scipy.special.erf
+        """)
