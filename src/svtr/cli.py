@@ -216,17 +216,12 @@ def cmd_attn_dump(args):
 def cmd_gradcheck(args):
     dtype = np.float64 if args.dtype == "f64" else np.float32
     tol = gc.TOLERANCES[dtype]
-    failed = False
+    errors = gc.run_suite(dtype=dtype)
+    errors["model (end-to-end)"] = max(gc.check_model(dtype=dtype).values())
     print(f"{'op':<22} {'worst rel err':>14}")
-    for name, err in gc.run_suite(dtype=dtype).items():
-        flag = "" if err < tol else "  FAIL"
-        failed |= err >= tol
-        print(f"{name:<22} {err:>14.3e}{flag}")
-    worst_model = max(gc.check_model(dtype=dtype).values())
-    flag = "" if worst_model < tol else "  FAIL"
-    failed |= worst_model >= tol
-    print(f"{'model (end-to-end)':<22} {worst_model:>14.3e}{flag}")
-    return 1 if failed else 0
+    for name, err in errors.items():
+        print(f"{name:<22} {err:>14.3e}{'' if err < tol else '  FAIL'}")
+    return 0 if all(err < tol for err in errors.values()) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -147,11 +147,8 @@ class SvtrConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SvtrConfig":
         kw = dict(d)
-        kw["embed_dims"] = tuple(kw["embed_dims"])
-        kw["depths"] = tuple(kw["depths"])
-        kw["heads"] = tuple(kw["heads"])
-        kw["window"] = tuple(kw["window"])
-        kw["permutation"] = tuple(kw["permutation"])
+        for key in (*_LIST_LENGTHS, "permutation"):
+            kw[key] = tuple(kw[key])
         return cls(**kw)
 
 

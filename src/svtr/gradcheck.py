@@ -8,6 +8,7 @@ worst normalized error per op and backs both the CLI command and the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +28,9 @@ MODEL_H_STEP = 1e-5
 
 
 def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """Largest absolute deviation normalized by the gradient magnitude."""
+    """Largest absolute deviation normalized by the gradient magnitude; inf on a NaN or inf."""
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        return math.inf
     scale = max(float(np.abs(analytic).max(initial=0.0)),
                 float(np.abs(numeric).max(initial=0.0)), 1e-8)
     return float(np.abs(analytic - numeric).max(initial=0.0)) / scale
@@ -91,43 +94,43 @@ def suite_cases() -> dict:
     mask[np.abs(np.arange(6)[:, None] - np.arange(6)[None, :]) <= 2] = True
 
     cases = {
-        "add": (lambda ts: (ts[0] + ts[1]).sum(),
+        "add": (lambda ts: T.tsum(T.add(ts[0], ts[1])),
                 [_uniform(rng, (3, 4)), _uniform(rng, (4,))]),
-        "mul": (lambda ts: T.mul(ts[0], ts[1]).sum(),
+        "mul": (lambda ts: T.tsum(T.mul(ts[0], ts[1])),
                 [_uniform(rng, (3, 4)), _uniform(rng, (3, 4))]),
-        "matmul": (lambda ts: T.matmul(ts[0], ts[1]).sum(),
+        "matmul": (lambda ts: T.tsum(T.matmul(ts[0], ts[1])),
                    [_uniform(rng, (3, 4)), _uniform(rng, (4, 2))]),
-        "matmul_batched": (lambda ts: T.matmul(ts[0], ts[1]).sum(),
+        "matmul_batched": (lambda ts: T.tsum(T.matmul(ts[0], ts[1])),
                            [_uniform(rng, (2, 2, 3, 4)), _uniform(rng, (2, 2, 4, 2))]),
-        "linear": (lambda ts: T.matmul(ts[0], ts[1], ts[2]).sum(),
+        "linear": (lambda ts: T.tsum(T.matmul(ts[0], ts[1], ts[2])),
                    [_uniform(rng, (2, 5, 4)), _uniform(rng, (4, 3)), _uniform(rng, (3,))]),
-        "conv2d": (lambda ts: T.conv2d(ts[0], ts[1], ts[2], stride=(2, 1)).sum(),
+        "conv2d": (lambda ts: T.tsum(T.conv2d(ts[0], ts[1], ts[2], stride=(2, 1))),
                    [_uniform(rng, (2, 2, 5, 7)), _uniform(rng, (3, 2, 3, 3)),
                     _uniform(rng, (3,))]),
-        "layernorm": (lambda ts: T.layernorm(ts[0], ts[1], ts[2]).sum(),
+        "layernorm": (lambda ts: T.tsum(T.layernorm(ts[0], ts[1], ts[2])),
                       [_uniform(rng, (3, 8)), _uniform(rng, (8,)), _uniform(rng, (8,))]),
         # Training mode reads no running statistic, but updates them in place.
-        "batchnorm2d": (lambda ts: T.mul(T.batchnorm2d(
+        "batchnorm2d": (lambda ts: T.tsum(T.mul(T.batchnorm2d(
                             ts[0], ts[1], ts[2], np.zeros(3, np.float32),
-                            np.ones(3, np.float32), True), ts[3]).sum(),
+                            np.ones(3, np.float32), True), ts[3])),
                         [_uniform(rng, (4, 3, 2, 2)), _uniform(rng, (3,)),
                          _uniform(rng, (3,)), _uniform(rng, (4, 3, 2, 2))]),
-        "softmax": (lambda ts: T.mul(T.softmax(ts[0]), ts[1]).sum(),
+        "softmax": (lambda ts: T.tsum(T.mul(T.softmax(ts[0]), ts[1])),
                     [_uniform(rng, (3, 6)), _uniform(rng, (3, 6))]),
-        "log_softmax": (lambda ts: T.mul(T.log_softmax(ts[0]), ts[1]).sum(),
+        "log_softmax": (lambda ts: T.tsum(T.mul(T.log_softmax(ts[0]), ts[1])),
                         [_uniform(rng, (3, 6)), _uniform(rng, (3, 6))]),
-        "gelu": (lambda ts: T.mul(T.gelu(ts[0]), ts[1]).sum(),
+        "gelu": (lambda ts: T.tsum(T.mul(T.gelu(ts[0]), ts[1])),
                  [_uniform(rng, (4, 5)), _uniform(rng, (4, 5))]),
-        "mean_pool_height": (lambda ts: T.mul(T.mean_pool_height(ts[0]), ts[1]).sum(),
+        "mean_pool_height": (lambda ts: T.tsum(T.mul(T.mean_pool_height(ts[0]), ts[1])),
                              [_uniform(rng, (2, 3, 4, 5)), _uniform(rng, (2, 3, 1, 5))]),
         "reshape_transpose": (
-            lambda ts: T.mul(T.transpose(T.reshape(ts[0], (2, 6, 2)), (1, 0, 2)),
-                             ts[1]).sum(),
+            lambda ts: T.tsum(T.mul(T.transpose(T.reshape(ts[0], (2, 6, 2)), (1, 0, 2)),
+                                    ts[1])),
             [_uniform(rng, (4, 6)), _uniform(rng, (6, 2, 2))]),
-        "split": (lambda ts: T.mul(T.split(ts[0], 3, axis=-1)[1], ts[1]).sum(),
+        "split": (lambda ts: T.tsum(T.mul(T.split(ts[0], 3, axis=-1)[1], ts[1])),
                   [_uniform(rng, (2, 9)), _uniform(rng, (2, 3))]),
         "masked_softmax": (
-            lambda ts: T.mul(T.softmax(T.apply_attention_mask(ts[0], mask)), ts[1]).sum(),
+            lambda ts: T.tsum(T.mul(T.softmax(T.apply_attention_mask(ts[0], mask)), ts[1])),
             [_uniform(rng, (2, 6, 6)), _uniform(rng, (2, 6, 6))]),
         "ctc_loss": (lambda ts: ctc_loss(T.log_softmax(ts[0]), [LabelSeq((1, 2))]),
                      [_uniform(rng, (1, 5, 3))]),

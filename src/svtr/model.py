@@ -226,7 +226,7 @@ class SvtrModel:
             x = T.gelu(x)
         b, d0, h, w = x.shape
         x = T.transpose(T.reshape(x, (b, d0, h * w)), (0, 2, 1))
-        x = x + p["embed.pos"]
+        x = T.add(x, p["embed.pos"])
         return self._drop(x, self.config.dropout_rate)
 
     def mixing_block(self, x: Tensor, prefix: str, heads: int,
@@ -242,7 +242,8 @@ class SvtrModel:
         # columns i*dh:(i+1)*dh of its block.
         qkv = T.transpose(T.reshape(qkv, (b, n, 3 * heads, dh)), (0, 2, 1, 3))
         q, k, v = T.split(qkv, 3, axis=1)                         # [b, heads, n, dh] each
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+                       Tensor(np.asarray(1.0 / np.sqrt(dh), dtype=self.dtype)))
         if mask is not None:
             scores = T.apply_attention_mask(scores, mask)
         attn = T.softmax(scores)
@@ -252,14 +253,14 @@ class SvtrModel:
         out = T.matmul(attn, v)                                   # [b, heads, n, dh]
         out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, n, d))
         out = T.matmul(out, p[prefix + "attn.proj.weight"], p[prefix + "attn.proj.bias"])
-        x = x + out
+        x = T.add(x, out)
 
         h = T.layernorm(x, p[prefix + "norm2.gamma"], p[prefix + "norm2.beta"])
         m = T.matmul(h, p[prefix + "mlp.fc1.weight"], p[prefix + "mlp.fc1.bias"])
         m = self._drop(T.gelu(m), cfg.dropout_rate)
         m = T.matmul(m, p[prefix + "mlp.fc2.weight"], p[prefix + "mlp.fc2.bias"])
         m = self._drop(m, cfg.dropout_rate)
-        return x + m
+        return T.add(x, m)
 
     def merging(self, x: Tensor, index: int, h: int, w: int) -> Tensor:
         if h % 2 != 0:

@@ -236,27 +236,6 @@ class Tensor:
                 node._backward_fn = _released
                 node._parents = ()
 
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    __rmul__ = __mul__
-
-    def sum(self):
-        return tsum(self)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
-
 
 def _reachable(root: _Node) -> list:
     seen = set()

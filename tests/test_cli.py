@@ -7,6 +7,7 @@ import pytest
 
 import svtr.cli
 import svtr.data
+import svtr.gradcheck
 from svtr.checkpoint import restore_model, save_checkpoint
 from svtr.cli import main
 from svtr.config import PRESETS
@@ -490,6 +491,14 @@ def test_gradcheck_command_passes(capsys):
     code, out, _ = run(capsys, "gradcheck", "--dtype", "f64")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_gradcheck_command_fails_on_a_nan_row(capsys, monkeypatch):
+    monkeypatch.setattr(svtr.gradcheck, "run_suite", lambda dtype: {"add": float("nan")})
+    monkeypatch.setattr(svtr.gradcheck, "check_model", lambda dtype: {"w": 0.0})
+    code, out, _ = run(capsys, "gradcheck", "--dtype", "f64")
+    assert code == 1
+    assert "add" in out and "FAIL" in out
 
 
 @pytest.fixture(scope="module")

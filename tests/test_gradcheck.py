@@ -32,7 +32,7 @@ def test_composite_conv_layernorm_linear_chain_f32():
         b, c, h, w = x.shape
         x = T.transpose(T.reshape(x, (b, c, h * w)), (0, 2, 1))
         x = T.layernorm(x, ts[3], ts[4])
-        return T.matmul(x, ts[5], ts[6]).sum()
+        return T.tsum(T.matmul(x, ts[5], ts[6]))
 
     arrays = [rng.uniform(-1, 1, size=(1, 2, 4, 5)),
               rng.uniform(-1, 1, size=(3, 2, 3, 3)),
@@ -56,7 +56,7 @@ def test_batchnorm2d_eval_gradients(dtype):
 
     def fn(ts):
         out = T.batchnorm2d(ts[0], ts[1], ts[2], mean.copy(), var.copy(), training=False)
-        return T.mul(out, ts[3]).sum()
+        return T.tsum(T.mul(out, ts[3]))
 
     arrays = [rng.uniform(-1, 1, size=s) for s in ((4, 3, 2, 2), (3,), (3,), (4, 3, 2, 2))]
     assert check_fn(fn, arrays, dtype=dtype) < TOLERANCES[dtype]
@@ -67,3 +67,23 @@ def test_max_rel_error_normalization():
     assert np.isclose(max_rel_error(np.array([100.0]), np.array([101.0])), 1 / 101)
     # zero against zero does not divide by zero
     assert max_rel_error(np.zeros(3), np.zeros(3)) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_max_rel_error_is_inf_on_a_non_finite_side(bad):
+    good = np.array([1.0, 2.0])
+    worse = np.array([1.0, bad])
+    assert max_rel_error(worse, good) == np.inf
+    assert max_rel_error(good, worse) == np.inf
+
+
+def test_check_fn_fails_a_rule_that_yields_nan():
+    def nan_rule_identity(x):
+        xn = x._node
+        return T._make(x.data.copy(), (x,), lambda g: T._accumulate(xn, g * np.nan))
+
+    def fn(ts):
+        return T.tsum(T.mul(nan_rule_identity(ts[0]), ts[1]))
+
+    arrays = [np.ones((2, 3)), np.full((2, 3), 2.0)]
+    assert check_fn(fn, arrays) == np.inf

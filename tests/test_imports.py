@@ -5,16 +5,14 @@ of its typed errors.  Of scipy, importing svtr loads only the compiled erf
 module, which a later ``import scipy.special`` binds as usual."""
 
 import ast
-import os
 import re
-import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
 
 import svtr
+from conftest import run_python
 from svtr import exceptions
 
 MODULES = sorted(p for p in Path(svtr.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -89,18 +87,9 @@ def test_every_named_raise_is_a_typed_error():
     assert not untyped
 
 
-def _run(code):
-    """Run ``code`` in a fresh interpreter that imports svtr from this tree."""
-    src = str(Path(svtr.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True,
-                   timeout=60)
-
-
 def test_importing_every_module_loads_no_scipy_module():
     names = ", ".join(f"svtr.{path.stem}" for path in MODULES)
-    _run(f"""
+    run_python(f"""
         import sys, svtr, {names}
         scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
         assert not scipy, scipy
@@ -110,7 +99,7 @@ def test_importing_every_module_loads_no_scipy_module():
 @pytest.mark.parametrize("first, second", [("svtr.tensor", "scipy.special"),
                                            ("scipy.special", "svtr.tensor")])
 def test_scipy_special_binds_the_erf_of_svtr(first, second):
-    _run(f"""
+    run_python(f"""
         import {first}
         import {second}
         assert svtr.tensor.erf is scipy.special.erf
@@ -121,7 +110,7 @@ def test_scipy_special_binds_the_erf_of_svtr(first, second):
 def test_erf_falls_back_to_scipy_special_on_another_layout(tmp_path):
     # find_spec points scipy at an empty directory, so the extension file is
     # not found; the import system itself does not call importlib.util.find_spec.
-    _run(f"""
+    run_python(f"""
         import importlib.machinery, importlib.util
         spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
         spec.submodule_search_locations.append({str(tmp_path)!r})

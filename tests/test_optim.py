@@ -196,13 +196,13 @@ def test_backward_fills_the_slots_step_reads():
     # Two passes: the second adds in place to the first's gradient.
     for leaf in (w, loose):
         for _ in range(2):
-            T.matmul(x, leaf).sum().backward()
+            T.tsum(T.matmul(x, leaf)).backward()
     assert w.grad.tobytes() == loose.grad.tobytes()
     slot = w.grad
     w.grad = None
     assert w.grad is None
-    T.matmul(x, w).sum().backward()
-    T.matmul(x, w).sum().backward()
+    T.tsum(T.matmul(x, w)).backward()
+    T.tsum(T.matmul(x, w)).backward()
     assert w.grad is slot
     opt.step(lr=1e-2)
     data = {"w.weight": loose.data}

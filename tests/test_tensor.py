@@ -20,11 +20,21 @@ def test_tensor_default_dtype_is_f32():
 
 def test_zero_d_f64_arithmetic_stays_f64():
     a = Tensor(np.array(2.0), requires_grad=True)
-    assert (a * 3.0).dtype == np.float64
-    assert (a + a).dtype == np.float64
-    assert float((a + a).data) == 4.0
+    assert T.mul(a, Tensor(np.asarray(3.0, dtype=a.dtype))).dtype == np.float64
+    assert T.add(a, a).dtype == np.float64
+    assert float(T.add(a, a).data) == 4.0
     assert Tensor(np.float64(2.0)).dtype == np.float64
     assert Tensor(2.0).dtype == np.float32
+
+
+def test_tensor_has_no_arithmetic_operators():
+    x, y = Tensor(np.ones(2)), Tensor(np.ones(2))
+    with pytest.raises(TypeError):
+        x + y
+    with pytest.raises(TypeError):
+        x * 0.5
+    with pytest.raises(AttributeError):
+        x.sum()
 
 
 def test_rank_limit():
@@ -93,7 +103,7 @@ def test_matmul_grad_is_ones_times_b_transposed():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    T.matmul(a, b).sum().backward()
+    T.tsum(T.matmul(a, b)).backward()
     expected = np.ones((3, 2)) @ b.data.T
     np.testing.assert_allclose(a.grad, expected, rtol=1e-5)
 
@@ -113,7 +123,7 @@ def test_matmul_weight_grad_is_the_per_sample_sum():
     x = Tensor(rng.normal(size=(5, 12, 16)), requires_grad=True)
     w = Tensor(rng.normal(size=(16, 8)), requires_grad=True)
     g = rng.normal(size=(5, 12, 8))
-    T.mul(T.matmul(x, w), Tensor(g)).sum().backward()
+    T.tsum(T.mul(T.matmul(x, w), Tensor(g))).backward()
     expected = sum(x.data[i].T @ g[i] for i in range(5))
     assert w.grad.dtype == np.float64
     assert np.abs(w.grad - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -130,7 +140,7 @@ def test_linear_is_one_node_bitwise_equal_to_matmul_then_add(dtype):
         x, w, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
         out = fn(x, w, b)
         runs.append(out._parents == (x._node, w._node, b._node))
-        T.mul(out, g).sum().backward()
+        T.tsum(T.mul(out, g)).backward()
         runs.append([out.data, x.grad, w.grad, b.grad])
     one_node, got, _, want = runs
     assert one_node
@@ -168,8 +178,8 @@ def test_conv2d_weight_grads_do_not_depend_on_the_input_requiring_grad(dtype):
     grads = []
     for requires_grad in (False, True):
         w, b = Tensor(wd.copy(), requires_grad=True), Tensor(bd.copy(), requires_grad=True)
-        T.mul(T.conv2d(Tensor(x, requires_grad=requires_grad), w, b, stride=(2, 2)),
-              Tensor(g)).sum().backward()
+        T.tsum(T.mul(T.conv2d(Tensor(x, requires_grad=requires_grad), w, b, stride=(2, 2)),
+                     Tensor(g))).backward()
         grads.append((w.grad.tobytes(), b.grad.tobytes()))
     assert grads[0] == grads[1]
 
@@ -287,7 +297,7 @@ def _assert_norm_matches(op, reference, arrays, g):
     dtype = arrays[0].dtype
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(*leaves)
-    T.mul(out, Tensor(g)).sum().backward()
+    T.tsum(T.mul(out, Tensor(g))).backward()
     want = reference(*arrays, g)
     got = [out.data] + [t.grad for t in leaves]
     for a, e in zip(got, want):
@@ -386,7 +396,7 @@ def test_dropout_backward_rebuilds_the_forward_factor():
     x = Tensor(rng.normal(size=(6, 40)).astype(np.float32), requires_grad=True)
     g = rng.normal(size=(6, 40)).astype(np.float32)
     out = T.dropout(x, 0.3, np.random.default_rng(17))
-    T.mul(out, Tensor(g)).sum().backward()
+    T.tsum(T.mul(out, Tensor(g))).backward()
     keep = np.random.default_rng(17).random((6, 40)) >= 0.3
     factor = (keep * (1.0 / (1.0 - 0.3))).astype(np.float32)
     assert out.data.tobytes() == (x.data * factor).tobytes()
@@ -400,25 +410,25 @@ def test_gelu_fixed_points():
 
 def test_backward_sum_gives_ones():
     x = Tensor(np.random.default_rng(7).normal(size=(3, 4)), requires_grad=True)
-    x.sum().backward()
+    T.tsum(x).backward()
     np.testing.assert_array_equal(x.grad, np.ones((3, 4), dtype=np.float32))
 
 
 def test_backward_sum_of_squares_gives_two_x():
     x = Tensor(np.random.default_rng(8).normal(size=(3, 4)), requires_grad=True)
-    T.mul(x, x).sum().backward()
+    T.tsum(T.mul(x, x)).backward()
     np.testing.assert_allclose(x.grad, 2 * x.data, rtol=1e-5)
 
 
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ContractError):
-        (x + x).backward()
+        T.add(x, x).backward()
 
 
 def test_reshape_transpose_roundtrip_backward():
     x = Tensor(np.random.default_rng(9).normal(size=(4, 6)), requires_grad=True)
-    y = T.reshape(T.transpose(T.reshape(x, (2, 6, 2)), (1, 0, 2)), (6, 4)).sum()
+    y = T.tsum(T.reshape(T.transpose(T.reshape(x, (2, 6, 2)), (1, 0, 2)), (6, 4)))
     y.backward()
     np.testing.assert_array_equal(x.grad, np.ones((4, 6), dtype=np.float32))
 
@@ -429,7 +439,7 @@ def test_split_partitions_and_backscatters():
     assert [p.shape for p in parts] == [(2, 2)] * 3
     np.testing.assert_array_equal(parts[1].data, x.data[:, 2:4])
     assert all(np.shares_memory(p.data, x.data) for p in parts)
-    parts[1].sum().backward()
+    T.tsum(parts[1]).backward()
     expected = np.zeros((2, 6), dtype=np.float32)
     expected[:, 2:4] = 1.0
     np.testing.assert_array_equal(x.grad, expected)
@@ -445,7 +455,7 @@ def test_apply_attention_mask_blocks_entries():
 def test_broadcast_add_backward_reduces():
     x = Tensor(np.zeros((3, 4)), requires_grad=True)
     b = Tensor(np.zeros(4), requires_grad=True)
-    (x + b).sum().backward()
+    T.tsum(T.add(x, b)).backward()
     np.testing.assert_array_equal(b.grad, np.full(4, 3.0, dtype=np.float32))
 
 
@@ -453,7 +463,7 @@ def test_leaf_grads_of_one_add_share_no_memory():
     rng = np.random.default_rng(18)
     x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    T.add(x, y).sum().backward()
+    T.tsum(T.add(x, y)).backward()
     assert not np.shares_memory(x.grad, y.grad)
     np.testing.assert_array_equal(x.grad, y.grad)
 
@@ -461,7 +471,7 @@ def test_leaf_grads_of_one_add_share_no_memory():
 def test_backward_frees_interior_activations_and_keeps_leaf_grads():
     x = Tensor(np.random.default_rng(11).normal(size=(3, 4)), requires_grad=True)
     h = T.gelu(x)
-    y = T.mul(h, h).sum()
+    y = T.tsum(T.mul(h, h))
     xd = x.data.astype(np.float64)
     dgelu = 0.5 * (1.0 + erf(xd / np.sqrt(2.0))) + xd * np.exp(-0.5 * xd * xd) / np.sqrt(2 * np.pi)
     expected = 2.0 * h.data * dgelu
@@ -475,7 +485,7 @@ def test_backward_frees_interior_activations_and_keeps_leaf_grads():
 
 def test_second_backward_through_a_released_graph_raises():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
-    y = T.mul(x, x).sum()
+    y = T.tsum(T.mul(x, x))
     y.backward()
     with pytest.raises(ContractError):
         y.backward()
@@ -500,7 +510,7 @@ def _param(*shape):
 # input.
 _INPUT_UNREAD = {
     "add": lambda x: T.add(x, _param(4)),
-    "mul_by_constant": lambda x: x * 0.5,
+    "mul_by_constant": lambda x: T.mul(x, Tensor(np.asarray(0.5, dtype=x.dtype))),
     "dropout": lambda x: T.dropout(x, 0.5, np.random.default_rng(0)),
     "gelu": T.gelu,
     "log_softmax": T.log_softmax,

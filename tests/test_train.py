@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+from conftest import run_python
 from svtr.ctc import Charset
 from svtr.data import gen_dataset
 from svtr.exceptions import ContractError, FeasibilityError
@@ -176,3 +177,32 @@ def test_bad_val_fraction_rejected(val_fraction):
     model = SvtrModel(micro_config(), seed=0)
     with pytest.raises(ContractError, match="val_fraction"):
         train(model, tiny_dataset(), epochs=1, batch_size=8, val_fraction=val_fraction)
+
+
+def test_training_and_eval_leave_no_reference_cycles():
+    # With the collector off, the graph must die by reference counting alone:
+    # afterwards only the parameters' leaf nodes are alive, and a collection
+    # finds nothing.  A rule that captured its own output would fail both.
+    run_python("""
+        import gc
+        import numpy as np
+        from svtr import tensor as T
+        from svtr.config import PRESETS
+        from svtr.ctc import Charset
+        from svtr.data import gen_dataset
+        from svtr.model import SvtrModel
+        from svtr.train import train
+
+        cfg = PRESETS["svtr-micro"]
+        data = gen_dataset(32, Charset(), (1, 5), cfg.input_h, cfg.input_w, seed=123)
+        model = SvtrModel(cfg, seed=42)
+        gc.collect()
+        gc.disable()
+        train(model, data, epochs=2, batch_size=16, peak_lr=0.03)
+        model.eval_logits(np.stack([s.image for s in data[:4]]))
+        leaves = sorted(id(p._node) for p in model.params.values())
+        alive = sorted(id(o) for o in gc.get_objects() if type(o) is T._Node)
+        assert alive == leaves, f"{len(alive)} nodes alive, {len(leaves)} parameters"
+        unreachable = gc.collect()
+        assert unreachable == 0, f"{unreachable} unreachable objects"
+        """)
