@@ -10,6 +10,7 @@ linears.  The classifier is excluded from headline totals by default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import SvtrConfig
@@ -24,10 +25,7 @@ def param_breakdown(config: SvtrConfig) -> dict[str, int]:
     """Per-module parameter counts keyed by top-level section (incl. head)."""
     out: dict[str, int] = {}
     for spec in parameter_spec(config):
-        n = 1
-        for dim in spec.shape:
-            n *= dim
-        out[_section(spec.name)] = out.get(_section(spec.name), 0) + n
+        out[_section(spec.name)] = out.get(_section(spec.name), 0) + math.prod(spec.shape)
     return out
 
 

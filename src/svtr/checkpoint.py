@@ -41,7 +41,7 @@ def save_checkpoint(path, model, step: int = 0, metrics: dict | None = None):
 
     def push(name, arr, kind):
         nonlocal offset
-        raw = np.ascontiguousarray(arr).astype("<f4").tobytes()
+        raw = np.asarray(arr, dtype="<f4").tobytes()
         records.append({
             "name": name, "kind": kind, "dtype": "f4",
             "shape": list(arr.shape), "offset": offset,

@@ -8,6 +8,7 @@ alpha-beta posterior.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,13 +86,7 @@ class LabelSeq:
 
 def collapse(path) -> tuple[int, ...]:
     """CTC de-duplication: merge consecutive repeats, then strip blanks."""
-    out = []
-    prev = None
-    for cls in path:
-        if cls != prev:
-            out.append(int(cls))
-        prev = cls
-    return tuple(c for c in out if c != BLANK)
+    return tuple(int(c) for c, _ in itertools.groupby(path) if c != BLANK)
 
 
 def greedy_decode(logits) -> list[LabelSeq]:

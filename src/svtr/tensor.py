@@ -66,9 +66,9 @@ Four rules hold for the helper:
    tracer may wrap, and a tracer keeps one span stack.
 4. Below ``_HALF_ELEMENTS`` elements or ``_PAIR_MACS`` multiply-adds, an op
    runs whole on the calling thread and submits no task.  Every svtr-micro
-   op, and every forward op of svtr-t at batch 1, stays below.  The pool
-   starts with the first op above them, never at import, and a forked child
-   drops its copy.
+   op, and every forward op of svtr-t at batch 1, stays below.  The pool is
+   made at import; its thread starts with the first op large enough to use
+   it, and a forked child makes a pool of its own.
 
 The helper is the second core of a two-core host; run with
 ``OPENBLAS_NUM_THREADS=1``, or OpenBLAS threads compete with it.
@@ -82,7 +82,6 @@ import importlib.util
 import itertools
 import os
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -319,25 +318,15 @@ def _wide(a: np.ndarray) -> np.ndarray:
 # far below.
 _HALF_ELEMENTS = 2**18
 _PAIR_MACS = 2**23
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _helper() -> ThreadPoolExecutor:
-    """The one-thread pool, started by the first op large enough to use it."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svtr-helper")
-        return _pool
+# The executor starts its one thread at the first submit, not here.
+_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svtr-helper")
 
 
 def _forget_helper():
     # A forked child holds a copy of the pool that counts the parent's
-    # thread, which did not survive the fork: tasks would wait forever.  The
-    # lock may have been held by a thread that did not survive either.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    # thread, which did not survive the fork: tasks would wait forever.
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="svtr-helper")
 
 
 os.register_at_fork(after_in_child=_forget_helper)
@@ -347,7 +336,7 @@ def _both(first, second):
     """``(first(), second())``, with ``second`` on the helper under a copy of
     the caller's context (numpy's ``errstate`` is a context variable), and
     ``first`` here.  Returns, or raises, once both are done."""
-    task = _helper().submit(contextvars.copy_context().run, second)
+    task = _pool.submit(contextvars.copy_context().run, second)
     try:
         result = first()
     finally:
@@ -688,22 +677,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride) -> Tensor:
 
 # -- normalization ----------------------------------------------------------
 
-def _moments(x: np.ndarray, axes, xc: np.ndarray, sq: np.ndarray):
-    """The f64 mean and biased variance of ``x`` over ``axes``, keeping
-    size-1 axes, with the centered input in ``xc``: ``xc`` and the scratch
-    ``sq`` are f64 buffers with ``x``'s layout that the caller allocated.
-    Bitwise equal to the ``mean`` and ``var`` of ``x`` in f64 (the same sums
-    and divisions in the same order), with the input centered once for both."""
-    np.copyto(xc, x)
-    mu = np.add.reduce(xc, axis=axes, keepdims=True)
-    n = xc.size // mu.size
-    mu /= n
-    xc -= mu
-    var = np.add.reduce(np.multiply(xc, xc, out=sq), axis=axes, keepdims=True)
-    var /= n
-    return mu, var
-
-
 def _normalized(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, axes, stats=None):
     """``(x - mu) * inv * gamma + beta`` in f64, ``inv = 1 / sqrt(var + eps)``,
     with ``gamma`` and ``beta`` along ``axis``: the one rule of ``layernorm``
@@ -722,13 +695,20 @@ def _normalized(x: Tensor, gamma: Tensor, beta: Tensor, axis: int, axes, stats=N
     y = np.empty_like(xd, dtype=np.float64)
     sq = np.empty_like(y) if own else None
     out_data = np.empty_like(xd)
+    np.copyto(y, xd)
     if own:
-        mu, var = _moments(xd, axes, y, sq)
+        # The f64 mean and biased variance, bitwise those of ``mean`` and
+        # ``var`` (the same sums and divisions in the same order), with the
+        # input centered once for both.
+        mu = np.add.reduce(y, axis=axes, keepdims=True)
+        n = xd.size // mu.size
+        mu /= n
+        y -= mu
+        var = np.add.reduce(np.multiply(y, y, out=sq), axis=axes, keepdims=True)
+        var /= n
     else:
         mu, var = stats
-        np.copyto(y, xd)
         y -= mu
-    n = xd.size // mu.size
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     y *= inv
     y *= gam

@@ -336,13 +336,17 @@ def test_norm_moments_are_bitwise_mean_and_var(dtype, shape, axis):
         x = rng.normal(0.5, scale, size=shape).astype(dtype)
         before = x.copy()
         x64 = x.astype(np.float64)
-        mean = x64.mean(axis=axis, keepdims=True)
-        xc = np.empty_like(x, dtype=np.float64)
-        mu, var = T._moments(x, axis, xc, np.empty_like(xc))
+        mean, want_var = x64.mean(axis=axis, keepdims=True), x64.var(axis=axis, keepdims=True)
+        # layernorm's affine axis is the one it normalizes; batchnorm's, 1.
+        affine = -1 if axis == -1 else 1
+        ones, zeros = (Tensor(np.full(shape[affine], v, dtype=dtype)) for v in (1.0, 0.0))
+        out, mu, var = T._normalized(Tensor(x), ones, zeros, affine, axis)
         assert mu.tobytes() == mean.tobytes()
-        assert xc.tobytes() == (x64 - mean).tobytes()
-        assert var.tobytes() == x64.var(axis=axis, keepdims=True).tobytes()
-        assert x.tobytes() == before.tobytes() and not np.shares_memory(xc, x)
+        assert var.tobytes() == want_var.tobytes()
+        # The output is built on the input centered by that same mean.
+        want = ((x64 - mean) * (1.0 / np.sqrt(want_var + T.NORM_EPS))).astype(dtype)
+        assert out.data.tobytes() == want.tobytes()
+        assert x.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
